@@ -59,7 +59,6 @@ from repro.serve.protocol import decode_message, encode_message
 from repro.serve.server import (
     BackgroundServer,
     EstimatorServer,
-    TENANT_ADMIN_OPS,
     _read_line,
     serve_in_background,
 )
@@ -375,7 +374,7 @@ class FollowerServer(EstimatorServer):
                 await loop.run_in_executor(
                     self._writer_pool, self._resync, info
                 )
-                self._wake_waiters(self._view.elements)
+                self._wake_waiters(self.view.elements)
             start = info.get("start")
             if start != self._session.elements:
                 raise ClusterError(
@@ -411,7 +410,7 @@ class FollowerServer(EstimatorServer):
                         self._primary_offset, applied
                     )
                     self._wake_waiters(applied)
-                self._acked_offset = self._view.elements
+                self._acked_offset = self.view.elements
                 writer.write(encode_message(
                     ack_message(self._acked_offset)
                 ))
@@ -470,40 +469,27 @@ class FollowerServer(EstimatorServer):
     # Read-your-writes waits
     # ------------------------------------------------------------------
     def _wake_waiters(self, applied: int) -> None:
-        if not self._waiters:
-            return
-        still_waiting = []
         for min_offset, future in self._waiters:
-            if future.done():
-                continue
-            if applied >= min_offset:
+            if applied >= min_offset and not future.done():
                 future.set_result(None)
-            else:
-                still_waiting.append((min_offset, future))
-        self._waiters = still_waiting
+        self._waiters = [
+            (offset, future)
+            for offset, future in self._waiters
+            if not future.done()
+        ]
 
-    async def _handle_read(
-        self, op: str, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        if op != "ping" and self._role == "follower":
-            min_offset = self._min_offset(request)
-            if (
-                min_offset is not None
-                and self._view.elements < min_offset
-            ):
-                await self._wait_for_applied(min_offset)
-            return self._read(op, request)
-        return await super()._handle_read(op, request)
-
-    async def _wait_for_applied(self, min_offset: int) -> None:
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[None]" = loop.create_future()
+    async def _check_freshness(
+        self, request: Dict[str, Any], elements: int, what: str = "view"
+    ) -> None:
+        if self._role != "follower":
+            return await super()._check_freshness(request, elements, what)
+        min_offset = self._min_offset(request)
+        if min_offset is None or elements >= min_offset:
+            return
+        # No await since the check, so the next replicated batch's
+        # _wake_waiters is guaranteed to see this registration.
+        future = asyncio.get_running_loop().create_future()
         self._waiters.append((min_offset, future))
-        if self._view.elements >= min_offset and not future.done():
-            # Replication applied the offset between the caller's
-            # check and our registration; don't sleep on a wake-up
-            # that already happened.
-            future.set_result(None)
         try:
             await asyncio.wait_for(future, self._stale_timeout)
         except asyncio.TimeoutError:
@@ -513,7 +499,7 @@ class FollowerServer(EstimatorServer):
                 if pending is not future
             ]
             raise StaleReadError(
-                f"follower applied {self._view.elements} elements "
+                f"follower applied {self.view.elements} elements "
                 f"but the read requires offset {min_offset} "
                 f"(waited {self._stale_timeout}s; replication is "
                 f"{'connected' if self._connected else 'down'})"
@@ -523,26 +509,22 @@ class FollowerServer(EstimatorServer):
     # Dispatch: writes are refused, promote flips the role
     # ------------------------------------------------------------------
     async def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        op = request.get("op")
-        if op == "promote":
-            self._counters[op] = self._counters.get(op, 0) + 1
+        if request.get("op") == "promote":
+            self._counters["promote"] = self._counters.get("promote", 0) + 1
             return await self._promote()
-        if self._role == "follower" and (
-            op in ("ingest", "flush", "snapshot", "checkpoint")
-            or op in TENANT_ADMIN_OPS
-            or request.get("tenant") is not None
-            or request.get("stream") is not None
-        ):
-            # Tenant-catalog operations — admin ops and anything
-            # tenant- or stream-scoped — are primary-only: a follower
-            # replicates one session's WAL, not a catalog.
-            self._counters[op] = self._counters.get(op, 0) + 1
+        return await super()._dispatch(request)
+
+    def _admit(self, op: str, target: Tuple[str, str]) -> None:
+        # Every write, catalog-admin op and tenant- or stream-scoped
+        # read passes here.  All are primary-only: a follower
+        # replicates one session's WAL, not a catalog.
+        if self._role == "follower":
             host, port = self._primary
             raise NotPrimaryError(
                 f"this node is a read-only follower (replicating "
                 f"from {host}:{port}); send {op!r} to the primary"
             )
-        return await super()._dispatch(request)
+        super()._admit(op, target)
 
     async def _promote(self) -> Dict[str, Any]:
         """Stop following and start accepting writes.
@@ -555,7 +537,7 @@ class FollowerServer(EstimatorServer):
         already = self._role == "primary"
         self._role = "primary"
         await self._stop_following()
-        view = self._view
+        view = self.view
         return {
             "promoted": not already,
             "role": self._role,
@@ -569,7 +551,7 @@ class FollowerServer(EstimatorServer):
     def _read(self, op: str, request: Dict[str, Any]) -> Dict[str, Any]:
         result = super()._read(op, request)
         if op == "stats":
-            applied = self._view.elements
+            applied = self.view.elements
             result["role"] = self._role
             result["replication"] = {
                 "primary": list(self._primary),

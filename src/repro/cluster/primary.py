@@ -56,6 +56,7 @@ from repro.serve.protocol import (
     result_response,
 )
 from repro.serve.server import (
+    SERVER_LANE,
     BackgroundServer,
     EstimatorServer,
     _read_line,
@@ -121,7 +122,6 @@ class ReplicatingServer(EstimatorServer):
         self._replication_port = replication_port
         self._repl_server: Optional[asyncio.Server] = None
         self._heartbeat_s = heartbeat_s
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: live followers by id; reads happen on the loop, registration
         #: on the writer thread (see _negotiate).
         self._followers: Dict[str, _FollowerHandle] = {}
@@ -135,7 +135,6 @@ class ReplicatingServer(EstimatorServer):
     # ------------------------------------------------------------------
     async def start(self) -> None:
         await super().start()
-        self._loop = asyncio.get_running_loop()
         self._repl_server = await asyncio.start_server(
             self._handle_replication_connection,
             self._host,
@@ -167,10 +166,12 @@ class ReplicatingServer(EstimatorServer):
     # ------------------------------------------------------------------
     # Fan-out (writer thread -> loop)
     # ------------------------------------------------------------------
-    def _apply_ingest(self, elements: list) -> Dict[str, Any]:
-        base = self._session.elements
-        result = super()._apply_ingest(elements)
-        if elements and self._followers and self._loop is not None:
+    def _apply_ingest(
+        self, target: Tuple[str, str], session: Session, elements: list
+    ) -> Dict[str, Any]:
+        base = session.elements
+        result = super()._apply_ingest(target, session, elements)
+        if target == SERVER_LANE and elements and self._followers:
             self._loop.call_soon_threadsafe(
                 self._fanout, base, list(elements)
             )
@@ -391,7 +392,7 @@ class ReplicatingServer(EstimatorServer):
                         handle.queue.get(), timeout=self._heartbeat_s
                     )
                 except asyncio.TimeoutError:
-                    message = heartbeat_message(self._view.elements)
+                    message = heartbeat_message(self.view.elements)
                 writer.write(encode_message(message))
                 await writer.drain()
         finally:
@@ -437,7 +438,7 @@ class ReplicatingServer(EstimatorServer):
             for handle in self._followers.values()
         }
         summary = lag_summary(
-            self._view.elements, {**self._gone_acked, **live}
+            self.view.elements, {**self._gone_acked, **live}
         )
         for name, info in summary["followers"].items():
             info["connected"] = name in live

@@ -6,12 +6,15 @@ concurrent clients over the line-delimited JSON protocol of
 the ingest hot path and makes torn reads impossible by construction:
 
 * **One writer.**  Every mutating operation (``ingest``, ``flush``,
-  ``snapshot``, ``checkpoint``, ``reshard``) is submitted to a
-  single-thread executor, so session state only ever changes in one
-  thread, in request order, while the asyncio loop stays free to
-  answer reads.  A bounded semaphore in front of the executor
-  backpressures writers that outrun it — waiting, never dropping —
-  with the stalls surfaced as the ``backpressure`` stats counter.
+  ``snapshot``, ``checkpoint``, ``reshard``) runs on a single-thread
+  executor, so session state only ever changes in one thread, in
+  request order, while the asyncio loop stays free to answer reads.
+  Writes reach that thread through one lane table and one
+  round-robin drainer: the server's own lane (:data:`SERVER_LANE`,
+  quota ``max_pending_writes``) plus one lane per tenant or shared
+  stream.  A lane at quota backpressures its writers — waiting, never
+  dropping — with the stalls surfaced as its ``backpressure`` stats
+  counter.
 * **Immutable views.**  After each mutation the writer thread builds a
   frozen :class:`ServingView` (estimate, element count, memory, a
   monotonically increasing ``seq``) and publishes it with one atomic
@@ -46,9 +49,10 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
+import dataclasses
 import threading
 from collections import deque
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -124,6 +128,16 @@ TENANT_ADMIN_OPS = frozenset(
     }
 )
 
+#: Every operation the base server answers; anything else is refused
+#: before it is counted.
+_KNOWN_OPS = READ_OPS | WRITE_OPS | TENANT_ADMIN_OPS | {"close", "shutdown"}
+
+#: The lane key of the server's own write stream: untenanted writes,
+#: catalog-admin ops and autoscaler steps.  It shares the lane table
+#: (and the round-robin) with tenant and stream lanes, with
+#: ``max_pending_writes`` as its quota, but has no catalog entry.
+SERVER_LANE: Tuple[str, str] = ("server", "")
+
 
 class _OversizedLine(Exception):
     """A request line exceeded MAX_LINE; ``recovered`` says whether the
@@ -174,7 +188,7 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
         raise _OversizedLine(await _discard_through_newline(reader))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ServingView:
     """One immutable, atomically published snapshot of serving state.
 
@@ -182,20 +196,33 @@ class ServingView:
         seq: publish sequence number (0 is the pre-ingest state;
             strictly increasing afterwards).
         elements: elements ingested when the view was published.
-        estimate: the estimate at publish time.
+        estimate: the estimate at publish time (None only in the
+            empty view of a catalog-only server).
         memory_edges: sample size at publish time.
         processing_seconds: cumulative estimator processing time.
     """
 
     seq: int
     elements: int
-    estimate: float
+    estimate: Optional[float]
     memory_edges: int
     processing_seconds: float
     #: The sharded topology at publish time (None for unsharded
     #: sessions).  Built on the writer thread like every other field,
     #: so a reader can never see a half-switched topology.
     topology: Optional[Dict[str, Any]] = None
+
+    @classmethod
+    def of(cls, session: Session, seq: int) -> "ServingView":
+        """Capture ``session``'s serving state as view ``seq``."""
+        return cls(
+            seq=seq,
+            elements=session.elements,
+            estimate=session.estimate,
+            memory_edges=session.memory_edges,
+            processing_seconds=session._processing_seconds,
+            topology=session.topology,
+        )
 
     def as_result(self) -> Dict[str, Any]:
         """The view as an ``estimate`` response body."""
@@ -206,8 +233,29 @@ class ServingView:
         }
 
 
-class _TenantLane:
-    """One tenant's (or shared stream's) fair-share write lane.
+#: What a catalog-only server (no session of its own) publishes as the
+#: server view, so untenanted ``stats`` reads one shape either way.
+_EMPTY_VIEW = ServingView(
+    seq=0, elements=0, estimate=None, memory_edges=0, processing_seconds=0.0
+)
+
+
+def _stream_estimates(view: Dict[str, Any]) -> Dict[str, Any]:
+    """A published stream view's ``seq``/``elements`` and per-member
+    estimates, as ``estimate`` and ``ingest`` responses carry them."""
+    return {
+        "seq": view["seq"],
+        "elements": view["elements"],
+        "estimates": {
+            member: entry["estimate"]
+            for member, entry in view["members"].items()
+        },
+    }
+
+
+class _Lane:
+    """One fair-share write lane: the server's own, a tenant's, or a
+    shared stream's.
 
     A bounded semaphore enforces the lane's ``max_pending_writes``
     quota — excess writers *wait* (never dropped) and the lane's
@@ -238,11 +286,13 @@ class EstimatorServer:
         session: the session to own (the single-tenant surface).  The
             server becomes the only writer: after :meth:`start`, touch
             the session through the protocol only.  May be None on a
-            catalog-only server — then every ingest/estimate/stats
-            request must name a tenant or stream.
+            catalog-only server — then every ingest/estimate request
+            must name a tenant or stream.
         host: interface to bind (default loopback).
         port: TCP port; 0 picks a free one (see :attr:`address`).
-        max_pending_writes: bound on queued writes before new writers
+        max_pending_writes: the quota of the server's own lane
+            (:data:`SERVER_LANE`): the bound on queued untenanted
+            writes, admin ops and autoscaler steps before new writers
             wait (see :data:`DEFAULT_MAX_PENDING_WRITES`).
         autoscaler: optional :class:`~repro.shard.Autoscaler`; when
             given, the server periodically feeds it the session's
@@ -310,9 +360,6 @@ class EstimatorServer:
         self._closed = False
         self._counters: Dict[str, int] = {}
         self._connections = 0
-        self._max_pending_writes = max_pending_writes
-        self._write_slots = asyncio.Semaphore(max_pending_writes)
-        self._backpressure = 0
         self._autoscaler = autoscaler
         self._autoscale_interval = autoscale_interval
         self._autoscale_task: Optional[asyncio.Task] = None
@@ -324,47 +371,50 @@ class EstimatorServer:
             if tenant_quota is not None
             else DEFAULT_TENANT_QUOTA
         )
-        self._lanes: Dict[Tuple[str, str], _TenantLane] = {}
+        self._lanes: Dict[Tuple[str, str], _Lane] = {
+            SERVER_LANE: _Lane(SERVER_LANE, max_pending_writes)
+        }
         self._lane_wake = asyncio.Event()
         self._drain_task: Optional[asyncio.Task] = None
         #: Order the drainer dispatched lane writes, for fairness
         #: tests/telemetry; entries are ``(kind, name)`` lane keys.
         self._fair_trace: List[Tuple[str, str]] = []
-        self._tenant_views: Dict[str, ServingView] = {}
-        self._stream_views: Dict[str, Dict[str, Any]] = {}
+        #: Published views by lane key: the server's own (always
+        #: present), and every tenant and shared stream served so far —
+        #: a stream's view is its fan-out's frozen stats dict.
+        self._views: Dict[Tuple[str, str], Any] = {
+            SERVER_LANE: (
+                ServingView.of(session, 0)
+                if session is not None
+                else _EMPTY_VIEW
+            )
+        }
         self._catalog_view: Optional[Dict[str, Any]] = (
             self._build_catalog_view() if catalog is not None else None
         )
-        self._view: Optional[ServingView] = (
-            self._build_view(0) if session is not None else None
-        )
 
     # ------------------------------------------------------------------
-    # The published view
+    # Published views
     # ------------------------------------------------------------------
-    def _build_view(self, seq: int) -> ServingView:
-        session = self._session
-        assert session is not None
-        return ServingView(
-            seq=seq,
-            elements=session.elements,
-            estimate=session.estimate,
-            memory_edges=session.memory_edges,
-            processing_seconds=session._processing_seconds,
-            topology=session.topology,
+    def _publish(
+        self,
+        key: Tuple[str, str] = SERVER_LANE,
+        session: Optional[Session] = None,
+    ) -> ServingView:
+        """Build and atomically publish the next view of ``key``'s
+        session — the server's own by default (writer thread)."""
+        old = self._views.get(key)
+        view = ServingView.of(
+            session or self._session, old.seq + 1 if old is not None else 1
         )
-
-    def _publish(self) -> ServingView:
-        """Build and atomically publish a fresh view (writer thread)."""
-        view = self._build_view(self._view.seq + 1)
-        self._view = view
+        self._views[key] = view
         return view
 
     @property
-    def view(self) -> Optional[ServingView]:
-        """The currently published view (None on a catalog-only
-        server)."""
-        return self._view
+    def view(self) -> ServingView:
+        """The server session's currently published view (an empty one
+        on a catalog-only server)."""
+        return self._views[SERVER_LANE]
 
     @property
     def session(self) -> Optional[Session]:
@@ -374,13 +424,9 @@ class EstimatorServer:
     def catalog(self) -> Optional[TenantCatalog]:
         return self._catalog
 
-    # ------------------------------------------------------------------
-    # Tenancy: views, lanes, and the round-robin drainer
-    # ------------------------------------------------------------------
     def _build_catalog_view(self) -> Dict[str, Any]:
         """An immutable catalog summary for reads (writer thread)."""
         catalog = self._catalog
-        assert catalog is not None
         return {
             "root": str(catalog.root),
             "tenants": {
@@ -397,46 +443,34 @@ class EstimatorServer:
             },
         }
 
-    def _publish_tenant(self, name: str, session: Session) -> ServingView:
-        """Publish one tenant's fresh view (writer thread)."""
-        old = self._tenant_views.get(name)
-        view = ServingView(
-            seq=old.seq + 1 if old is not None else 1,
-            elements=session.elements,
-            estimate=session.estimate,
-            memory_edges=session.memory_edges,
-            processing_seconds=session._processing_seconds,
-            topology=session.topology,
-        )
-        self._tenant_views[name] = view
-        return view
-
     def _publish_stream(self, name: str, fanout: Any) -> Dict[str, Any]:
         """Publish one shared stream's frozen stats (writer thread)."""
-        old = self._stream_views.get(name)
+        old = self._views.get(("stream", name))
         view = dict(fanout.stats())
         view["seq"] = old["seq"] + 1 if old is not None else 1
-        self._stream_views[name] = view
+        self._views[("stream", name)] = view
         for member in fanout.members:
-            self._publish_tenant(member, fanout.session(member))
+            self._publish(("tenant", member), fanout.session(member))
         return view
 
-    def _require_catalog(self, op: str) -> TenantCatalog:
+    # ------------------------------------------------------------------
+    # Lanes and the round-robin drainer
+    # ------------------------------------------------------------------
+    def _require_catalog(self, op: str) -> None:
         if self._catalog is None:
             raise ServeError(
                 f"{op!r} needs a tenant catalog but this server hosts "
                 "none (start it with repro serve --tenant-root)"
             )
-        return self._catalog
 
-    def _target(
-        self, request: Dict[str, Any]
-    ) -> Optional[Tuple[str, str]]:
-        """The request's tenant/stream routing key, validated."""
+    @staticmethod
+    def _target(request: Dict[str, Any]) -> Tuple[str, str]:
+        """The request's lane key, validated: ``(kind, name)`` for a
+        tenant or stream, :data:`SERVER_LANE` when it names neither."""
         tenant = request.get("tenant")
         stream = request.get("stream")
         if tenant is None and stream is None:
-            return None
+            return SERVER_LANE
         if tenant is not None and stream is not None:
             raise ServeError(
                 "a request may name a tenant or a stream, not both"
@@ -448,16 +482,14 @@ class EstimatorServer:
             raise ServeError(
                 f"{kind} must be a non-empty string, got {name!r}"
             )
-        self._require_catalog(f"{kind}-scoped request")
         return (kind, name)
 
-    def _lane(self, key: Tuple[str, str]) -> _TenantLane:
+    def _lane(self, key: Tuple[str, str]) -> _Lane:
         """The target's lane, created on first use with its quota."""
         lane = self._lanes.get(key)
         if lane is not None:
             return lane
         catalog = self._catalog
-        assert catalog is not None
         kind, name = key
         if kind == "tenant":
             declared = catalog.declared_quota(name)  # raises if unknown
@@ -469,7 +501,7 @@ class EstimatorServer:
                     f"{', '.join(sorted(catalog.streams())) or '(none)'}"
                 )
             quota = self._tenant_quota
-        lane = _TenantLane(key, quota)
+        lane = _Lane(key, quota)
         self._lanes[key] = lane
         return lane
 
@@ -479,29 +511,39 @@ class EstimatorServer:
         lane = self._lanes.pop(key, None)
         if lane is None:
             return
-        kind, name = key
         while lane.queue:
             _fn, future = lane.queue.popleft()
             if not future.done():
-                future.set_exception(TenancyError(
-                    f"{kind} {name!r} was dropped before this write ran"
-                ))
+                future.set_exception(self._dropped(key))
+
+    @staticmethod
+    def _dropped(key: Tuple[str, str]) -> TenancyError:
+        kind, name = key
+        return TenancyError(
+            f"{kind} {name!r} was dropped before this write ran"
+        )
 
     async def _lane_submit(
-        self, key: Tuple[str, str], fn: Callable[[], Dict[str, Any]]
-    ) -> Dict[str, Any]:
-        """Queue one write on the target's lane and await its result.
+        self, key: Tuple[str, str], fn: Callable[[], Any]
+    ) -> Any:
+        """Queue one write on ``key``'s lane and await its result.
 
-        The lane's semaphore is the tenant's ``max_pending_writes``
-        quota: a tenant at quota waits here — counted as that lane's
-        backpressure — without taking a slot from any other tenant.
+        This is the only way onto the writer thread for client writes,
+        admin ops and autoscaler steps.  The lane's semaphore is its
+        ``max_pending_writes`` quota: a lane at quota waits here —
+        counted as that lane's backpressure — without taking a slot
+        from any other lane.
         """
         lane = self._lane(key)
         if lane.slots.locked():
             lane.backpressure += 1
         async with lane.slots:
+            if self._closed:
+                raise ServeError("server is shutting down")
+            if self._lanes.get(key) is not lane:
+                raise self._dropped(key)
             loop = asyncio.get_running_loop()
-            future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
+            future: "asyncio.Future[Any]" = loop.create_future()
             lane.queue.append((fn, future))
             self._lane_wake.set()
             return await future
@@ -510,40 +552,43 @@ class EstimatorServer:
         """Feed queued lane writes to the writer thread, round-robin.
 
         Each cycle serves at most one write from every non-empty lane
-        (in sorted key order), so a tenant flooding its own lane cannot
-        delay another tenant by more than one in-flight write.
+        (in sorted key order), so a lane flooding its own queue cannot
+        delay another by more than one in-flight write.  Once the
+        server closes, the drainer finishes what is queued and exits.
         """
         loop = asyncio.get_running_loop()
         while True:
-            await self._lane_wake.wait()
-            self._lane_wake.clear()
-            while True:
-                busy = [
-                    key
-                    for key in sorted(self._lanes)
-                    if self._lanes[key].queue
-                ]
-                if not busy:
-                    break
-                for key in busy:
-                    lane = self._lanes.get(key)
-                    if lane is None or not lane.queue:
-                        continue
-                    fn, future = lane.queue.popleft()
-                    self._fair_trace.append(key)
-                    if len(self._fair_trace) > 8192:
-                        del self._fair_trace[:4096]
-                    lane.writes += 1
-                    try:
-                        result = await loop.run_in_executor(
-                            self._writer_pool, fn
-                        )
-                    except Exception as exc:  # noqa: BLE001
-                        if not future.done():
-                            future.set_exception(exc)
-                    else:
-                        if not future.done():
-                            future.set_result(result)
+            busy = [
+                lane
+                for _key, lane in sorted(self._lanes.items())
+                if lane.queue
+            ]
+            if not busy:
+                if self._closed:
+                    return
+                self._lane_wake.clear()
+                await self._lane_wake.wait()
+                continue
+            for lane in busy:
+                if not lane.queue:  # retired since the cycle began
+                    continue
+                fn, future = lane.queue.popleft()
+                if future.done():  # its requester was cancelled
+                    continue
+                self._fair_trace.append(lane.key)
+                if len(self._fair_trace) > 8192:
+                    del self._fair_trace[:4096]
+                lane.writes += 1
+                try:
+                    result = await loop.run_in_executor(
+                        self._writer_pool, fn
+                    )
+                except Exception as exc:  # noqa: BLE001
+                    if not future.done():
+                        future.set_exception(exc)
+                else:
+                    if not future.done():
+                        future.set_result(result)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -560,8 +605,7 @@ class EstimatorServer:
         )
         self._port = self._server.sockets[0].getsockname()[1]
         self._loop = asyncio.get_running_loop()
-        if self._catalog is not None:
-            self._drain_task = asyncio.create_task(self._drain_lanes())
+        self._drain_task = asyncio.create_task(self._drain_lanes())
         if self._autoscaler is not None:
             self._autoscale_task = asyncio.create_task(
                 self._autoscale_loop()
@@ -592,20 +636,14 @@ class EstimatorServer:
         self._closed = True
         if self._autoscale_task is not None:
             self._autoscale_task.cancel()
-            try:
+            with contextlib.suppress(asyncio.CancelledError):
                 await self._autoscale_task
-            except asyncio.CancelledError:
-                pass
-            self._autoscale_task = None
+        # Writes already queued still apply (new ones are refused);
+        # the drainer exits once every lane is empty.
         if self._drain_task is not None:
-            self._drain_task.cancel()
-            try:
-                await self._drain_task
-            except asyncio.CancelledError:
-                pass
+            self._lane_wake.set()
+            await self._drain_task
             self._drain_task = None
-        for key in list(self._lanes):
-            self._retire_lane(key)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -631,29 +669,21 @@ class EstimatorServer:
         """Feed the autoscaler on a timer; reshard when it says so.
 
         Each observation (and any reshard it triggers) runs on the
-        writer thread under a write slot, so it serialises against
-        ingest exactly like a client-issued ``reshard`` — readers keep
-        the old view until the new topology publishes atomically.
-        Policy errors are swallowed: a failed observation must never
-        take the serving loop down.
+        writer thread through the server's lane, so it serialises
+        against ingest exactly like a client-issued ``reshard`` —
+        readers keep the old view until the new topology publishes
+        atomically.  Policy errors are swallowed: a failed observation
+        must never take the serving loop down.
         """
         while not self._closed:
             await asyncio.sleep(self._autoscale_interval)
             try:
-                async with self._write_slots:
-                    loop = asyncio.get_running_loop()
-                    await loop.run_in_executor(
-                        self._writer_pool, self._autoscale_step
-                    )
-            except asyncio.CancelledError:
-                raise
+                await self._lane_submit(SERVER_LANE, self._autoscale_step)
             except Exception:  # noqa: BLE001 - keep serving
                 continue
 
     def _autoscale_step(self) -> None:
         """One autoscaler observation (writer thread)."""
-        if self._autoscaler is None:
-            return
         engine = self._session._sharded_engine()
         if engine is None:
             return
@@ -740,64 +770,56 @@ class EstimatorServer:
         op = request.get("op")
         if not isinstance(op, str):
             raise ServeError("request needs a string 'op' field")
+        if op not in _KNOWN_OPS:
+            raise ServeError(
+                f"unknown operation {op!r}; supported: "
+                f"{', '.join(sorted(READ_OPS | WRITE_OPS | TENANT_ADMIN_OPS))}"
+                ", close, shutdown"
+            )
         self._counters[op] = self._counters.get(op, 0) + 1
         target = self._target(request)
-        if op in TENANT_ADMIN_OPS:
-            self._require_catalog(op)
-            async with self._write_slots:
-                loop = asyncio.get_running_loop()
-                return await loop.run_in_executor(
-                    self._writer_pool, self._tenant_admin, op, request
-                )
-        if op in READ_OPS:
-            if target is not None and op != "ping":
-                return await self._scoped_read(op, target, request)
-            return await self._handle_read(op, request)
         if op == "close":
             return {"goodbye": True}
         if op == "shutdown":
             self.request_shutdown()
             return {"stopping": True}
-        if op in WRITE_OPS:
-            if target is not None:
-                return await self._scoped_write(op, target, request)
-            if self._session is None:
-                raise ServeError(
-                    f"this server hosts a tenant catalog only; name a "
-                    f"tenant (or stream) on the {op!r} request"
-                )
-            # Bounded writer queue: when every slot is taken the new
-            # write *waits* here (never dropped, never rejected) and
-            # the backpressure counter records the stall.  Reads never
-            # touch the semaphore, so they stay unblocked throughout.
-            if self._write_slots.locked():
-                self._backpressure += 1
-            async with self._write_slots:
-                loop = asyncio.get_running_loop()
-                return await loop.run_in_executor(
-                    self._writer_pool, self._write, op, request
-                )
-        raise ServeError(
-            f"unknown operation {op!r}; supported: "
-            f"{', '.join(sorted(READ_OPS | WRITE_OPS | TENANT_ADMIN_OPS))}"
-            ", close, shutdown"
+        if op == "ping":  # liveness must not depend on freshness
+            return self._read(op, request)
+        if op in READ_OPS and target == SERVER_LANE:
+            await self._check_freshness(request, self.view.elements)
+            return self._read(op, request)
+        self._admit(op, target)
+        if op in READ_OPS:
+            return await self._scoped_read(op, target, request)
+        if op in TENANT_ADMIN_OPS:
+            return await self._lane_submit(
+                SERVER_LANE, lambda: self._tenant_admin(op, request)
+            )
+        return await self._lane_submit(
+            target, lambda: self._write(op, target, request)
         )
 
-    async def _handle_read(
-        self, op: str, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Answer one read, honouring the request's consistency mode.
+    def _admit(self, op: str, target: Tuple[str, str]) -> None:
+        """Refuse a request the targeted state cannot take (loop thread).
 
-        On a single node ``read_your_writes`` can only fail when the
-        watermark belongs to state this server never had (a client
-        carrying an offset across a failover to a stale node) — then
-        refusing with :class:`~repro.errors.StaleReadError` is the
-        safe answer.  The follower of :mod:`repro.cluster.follower`
-        overrides this to *wait* for replication to apply the offset
-        instead.
+        Every write, catalog-admin op and tenant- or stream-scoped read
+        passes here before it reaches a lane; the follower of
+        :mod:`repro.cluster.follower` overrides it to refuse them all.
         """
-        self._check_freshness(op, request)
-        return self._read(op, request)
+        if op in TENANT_ADMIN_OPS:
+            self._require_catalog(op)
+        elif target != SERVER_LANE:
+            self._require_catalog(f"{target[0]}-scoped request")
+            if op == "reshard":
+                raise ServeError(
+                    "reshard is not supported per tenant; reshard the "
+                    "server's own session instead"
+                )
+        elif self._session is None:
+            raise ServeError(
+                f"this server hosts a tenant catalog only; name a "
+                f"tenant (or stream) on the {op!r} request"
+            )
 
     def _min_offset(self, request: Dict[str, Any]) -> Optional[int]:
         """The read-your-writes watermark of a request, validated."""
@@ -819,52 +841,58 @@ class EstimatorServer:
             )
         return min_offset
 
-    def _check_freshness(self, op: str, request: Dict[str, Any]) -> None:
-        if op == "ping":
-            return
+    async def _check_freshness(
+        self, request: Dict[str, Any], elements: int, what: str = "view"
+    ) -> None:
+        """Refuse a ``read_your_writes`` read whose watermark is past
+        the ``elements`` the read's view covers.
+
+        On a single node that can only happen when the watermark
+        belongs to state this server never had (a client carrying an
+        offset across a failover to a stale node) — then refusing with
+        :class:`~repro.errors.StaleReadError` is the safe answer.  The
+        follower of :mod:`repro.cluster.follower` overrides this to
+        *wait* for replication to apply the offset instead.
+        """
         min_offset = self._min_offset(request)
-        elements = self._view.elements if self._view is not None else 0
         if min_offset is not None and elements < min_offset:
             raise StaleReadError(
-                f"view covers {elements} elements but the "
+                f"{what} covers {elements} elements but the "
                 f"client's last write is at offset {min_offset}"
             )
 
     def _read(self, op: str, request: Dict[str, Any]) -> Dict[str, Any]:
-        view = self._view  # one atomic reference read — never torn
         if op == "ping":
             return {
                 "pong": True,
                 "version": PROTOCOL_VERSION,
                 "codecs": list(SUPPORTED_CODECS),
             }
+        view = self.view  # one atomic reference read — never torn
+        session = self._session
         if op == "estimate":
-            if view is None:
+            if session is None:
                 raise ServeError(
                     "this server hosts a tenant catalog only; name a "
                     "tenant (or stream) on the 'estimate' request"
                 )
             return view.as_result()
-        session = self._session
-        spec = session.spec if session is not None else None
+        facts = {"spec": None, "durable": False, "durability": None}
+        if session is not None:
+            spec = session.spec
+            facts = {
+                "spec": spec.to_string() if spec else None,
+                "durable": session.durable,
+                "durability": session.durability,
+            }
+        lane = self._lanes[SERVER_LANE]
         result = {
-            "seq": view.seq if view is not None else 0,
-            "elements": view.elements if view is not None else 0,
-            "estimate": view.estimate if view is not None else None,
-            "memory_edges": view.memory_edges if view is not None else 0,
-            "processing_seconds": (
-                view.processing_seconds if view is not None else 0.0
-            ),
-            "topology": view.topology if view is not None else None,
-            "spec": spec.to_string() if spec else None,
-            "durable": session.durable if session is not None else False,
-            "durability": (
-                session.durability if session is not None else None
-            ),
+            **dataclasses.asdict(view),
+            **facts,
             "connections": self._connections,
             "operations": dict(self._counters),
-            "backpressure": self._backpressure,
-            "max_pending_writes": self._max_pending_writes,
+            "backpressure": lane.backpressure,
+            "max_pending_writes": lane.quota,
             "autoscaling": self._autoscaler is not None,
             "autoscale_reshards": self._autoscale_reshards,
         }
@@ -872,44 +900,42 @@ class EstimatorServer:
             result.update(self._catalog_stats())
         return result
 
+    def _lane_stats(
+        self, key: Tuple[str, str], quota: Optional[int]
+    ) -> Dict[str, Any]:
+        """A lane's counters; a target whose lane was never opened
+        reports zeros and the quota it would open with."""
+        lane = self._lanes.get(key)
+        if lane is None:
+            return dict(writes=0, backpressure=0, max_pending_writes=quota)
+        return {
+            "writes": lane.writes,
+            "backpressure": lane.backpressure,
+            "max_pending_writes": lane.quota,
+        }
+
     def _catalog_stats(self) -> Dict[str, Any]:
         """The multi-tenant additions to an untenanted ``stats`` read.
 
         Only present when a catalog is hosted, so tenant-less servers
         keep the exact pre-tenancy response shape.
         """
-        catalog_view = self._catalog_view or {
-            "root": None, "tenants": {}, "streams": {},
-        }
-        tenants: Dict[str, Any] = {}
-        for name, entry in catalog_view["tenants"].items():
-            lane = self._lanes.get(("tenant", name))
-            tenants[name] = {
+        catalog_view = self._catalog_view
+        tenants = {
+            name: {
                 "spec": entry["spec"],
                 "stream": entry["stream"],
-                "writes": lane.writes if lane is not None else 0,
-                "backpressure": (
-                    lane.backpressure if lane is not None else 0
-                ),
-                "max_pending_writes": (
-                    lane.quota if lane is not None else entry["quota"]
-                ),
+                **self._lane_stats(("tenant", name), entry["quota"]),
             }
-        streams: Dict[str, Any] = {}
-        for name, members in catalog_view["streams"].items():
-            lane = self._lanes.get(("stream", name))
-            streams[name] = {
+            for name, entry in catalog_view["tenants"].items()
+        }
+        streams = {
+            name: {
                 "members": list(members),
-                "writes": lane.writes if lane is not None else 0,
-                "backpressure": (
-                    lane.backpressure if lane is not None else 0
-                ),
-                "max_pending_writes": (
-                    lane.quota
-                    if lane is not None
-                    else self._tenant_quota
-                ),
+                **self._lane_stats(("stream", name), self._tenant_quota),
             }
+            for name, members in catalog_view["streams"].items()
+        }
         shares = {
             name: entry["writes"] for name, entry in tenants.items()
         }
@@ -925,7 +951,7 @@ class EstimatorServer:
         }
 
     # ------------------------------------------------------------------
-    # Tenant-scoped requests
+    # Tenant-scoped reads
     # ------------------------------------------------------------------
     async def _scoped_read(
         self, op: str, target: Tuple[str, str], request: Dict[str, Any]
@@ -937,279 +963,114 @@ class EstimatorServer:
         on the writer thread and publish its recovered state.
         """
         kind, name = target
-        if (
-            name not in self._tenant_views
-            if kind == "tenant"
-            else name not in self._stream_views
-        ):
+        if target not in self._views:
             await self._lane_submit(
                 target, lambda: self._touch_target(target)
             )
-        min_offset = self._min_offset(request)
-        if kind == "stream":
-            view = self._stream_views.get(name)
-            if view is None:
-                raise TenancyError(
-                    f"stream {name!r} disappeared while reading it"
-                )
-            if min_offset is not None and view["elements"] < min_offset:
-                raise StaleReadError(
-                    f"stream {name!r} view covers {view['elements']} "
-                    f"elements but the client's last write is at "
-                    f"offset {min_offset}"
-                )
-            if op == "estimate":
-                return {
-                    "stream": name,
-                    "seq": view["seq"],
-                    "elements": view["elements"],
-                    "estimates": {
-                        member: entry["estimate"]
-                        for member, entry in view["members"].items()
-                    },
-                }
-            result = dict(view)
-            result["stream"] = name
-            lane = self._lanes.get(target)
-            if lane is not None:
-                result["writes"] = lane.writes
-                result["backpressure"] = lane.backpressure
-                result["max_pending_writes"] = lane.quota
-            return result
-        tenant_view = self._tenant_views.get(name)
-        if tenant_view is None:
+        view = self._views.get(target)
+        if view is None:
             raise TenancyError(
-                f"tenant {name!r} disappeared while reading it"
+                f"{kind} {name!r} disappeared while reading it"
             )
-        if (
-            min_offset is not None
-            and tenant_view.elements < min_offset
-        ):
-            raise StaleReadError(
-                f"tenant {name!r} view covers {tenant_view.elements} "
-                f"elements but the client's last write is at offset "
-                f"{min_offset}"
+        if kind == "stream":
+            await self._check_freshness(
+                request, view["elements"], f"stream {name!r} view"
             )
+            if op == "estimate":
+                return {"stream": name, **_stream_estimates(view)}
+            return {
+                **view,
+                "stream": name,
+                **self._lane_stats(target, self._tenant_quota),
+            }
+        await self._check_freshness(
+            request, view.elements, f"tenant {name!r} view"
+        )
         if op == "estimate":
-            result = tenant_view.as_result()
-            result["tenant"] = name
-            return result
-        catalog_view = self._catalog_view or {"tenants": {}}
-        entry = catalog_view["tenants"].get(name, {})
-        lane = self._lanes.get(target)
+            return {**view.as_result(), "tenant": name}
+        entry = self._catalog_view["tenants"].get(name, {})
         return {
             "tenant": name,
-            "seq": tenant_view.seq,
-            "elements": tenant_view.elements,
-            "estimate": tenant_view.estimate,
-            "memory_edges": tenant_view.memory_edges,
-            "processing_seconds": tenant_view.processing_seconds,
+            "seq": view.seq,
+            "elements": view.elements,
+            "estimate": view.estimate,
+            "memory_edges": view.memory_edges,
+            "processing_seconds": view.processing_seconds,
             "spec": entry.get("spec"),
             "stream": entry.get("stream"),
-            "writes": lane.writes if lane is not None else 0,
-            "backpressure": lane.backpressure if lane is not None else 0,
-            "max_pending_writes": (
-                lane.quota if lane is not None else entry.get("quota")
-            ),
+            **self._lane_stats(target, entry.get("quota")),
         }
 
-    async def _scoped_write(
-        self, op: str, target: Tuple[str, str], request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Route a tenant/stream write through its fair-share lane."""
-        kind, name = target
-        if op == "reshard":
-            raise ServeError(
-                "reshard is not supported per tenant; reshard the "
-                "server's own session instead"
-            )
-        if kind == "tenant":
-            return await self._lane_submit(
-                target, lambda: self._tenant_write(op, name, request)
-            )
-        return await self._lane_submit(
-            target, lambda: self._stream_write(op, name, request)
-        )
-
-    def _touch_target(self, target: Tuple[str, str]) -> Dict[str, Any]:
+    def _touch_target(self, target: Tuple[str, str]) -> None:
         """Open a never-yet-served target and publish its view
         (writer thread)."""
         catalog = self._catalog
-        assert catalog is not None
         kind, name = target
         if kind == "stream":
-            view = self._publish_stream(name, catalog.open_stream(name))
-            return {"stream": name, "elements": view["elements"]}
+            self._publish_stream(name, catalog.open_stream(name))
+            return
         bound = catalog.bound_stream(name)
         if bound is not None:
-            fanout = catalog.open_stream(bound)
-            view = self._publish_tenant(name, fanout.session(name))
+            self._publish(target, catalog.open_stream(bound).session(name))
         else:
-            view = self._publish_tenant(name, catalog.session(name))
-        return {"tenant": name, "elements": view.elements}
+            self._publish(target, catalog.session(name))
 
-    def _tenant_write(
-        self, op: str, name: str, request: Dict[str, Any]
+    # ------------------------------------------------------------------
+    # Writes (writer thread)
+    # ------------------------------------------------------------------
+    def _write(
+        self, op: str, target: Tuple[str, str], request: Dict[str, Any]
     ) -> Dict[str, Any]:
-        """Apply one tenant-scoped mutation (writer thread)."""
-        catalog = self._catalog
-        assert catalog is not None
-        session = catalog.session(name)
-        if op == "ingest":
-            elements = elements_from_request(request)
-            delta = session.ingest(elements)
-            view = self._publish_tenant(name, session)
-            return {
-                "tenant": name,
-                "accepted": len(elements),
-                "delta": delta,
-                "seq": view.seq,
-                "elements": view.elements,
-                "estimate": view.estimate,
-            }
-        if op == "flush":
-            delta = session.flush()
-            view = self._publish_tenant(name, session)
-            return {"tenant": name, "delta": delta, "seq": view.seq}
-        if op == "snapshot":
-            return {"tenant": name, "snapshot": session.snapshot()}
-        # checkpoint
-        offset = session.checkpoint()
-        self._publish_tenant(name, session)
-        return {"tenant": name, "offset": offset}
+        """Apply one mutation to the target's session and publish.
 
-    def _stream_write(
-        self, op: str, name: str, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Apply one shared-stream mutation (writer thread)."""
-        catalog = self._catalog
-        assert catalog is not None
-        fanout = catalog.open_stream(name)
-        if op == "ingest":
-            elements = elements_from_request(request)
-            fanout.ingest(elements)
-            view = self._publish_stream(name, fanout)
-            return {
-                "stream": name,
-                "accepted": len(elements),
-                "seq": view["seq"],
-                "elements": view["elements"],
-                "estimates": {
-                    member: entry["estimate"]
-                    for member, entry in view["members"].items()
-                },
-            }
-        if op == "flush":
-            fanout.flush()
-            view = self._publish_stream(name, fanout)
-            return {"stream": name, "seq": view["seq"]}
-        if op == "snapshot":
-            raise ServeError(
-                "snapshot is not supported per stream; checkpoint the "
-                "stream instead (one envelope covers every member)"
-            )
-        # checkpoint
-        offset = fanout.checkpoint()
-        self._publish_stream(name, fanout)
-        return {"stream": name, "offset": offset}
-
-    def _tenant_admin(
-        self, op: str, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Apply one catalog-administration op (writer thread)."""
-        catalog = self._catalog
-        assert catalog is not None
-        if op == "list_tenants":
-            view = self._build_catalog_view()
-            self._catalog_view = view
-            return {
-                "tenants": [
-                    {"name": name, **entry}
-                    for name, entry in view["tenants"].items()
-                ],
-                "streams": view["streams"],
-            }
-        if op == "create_tenant":
-            name = self._required_str(request, "name")
-            spec = self._required_str(request, "spec")
-            quota = request.get("quota")
-            catalog.create(name, spec, quota=quota)
-            self._catalog_view = self._build_catalog_view()
-            return {
-                "tenant": name,
-                "spec": catalog.spec(name),
-                "quota": catalog.quota(name),
-            }
-        if op == "drop_tenant":
-            name = self._required_str(request, "name")
-            catalog.drop(name)
-            self._tenant_views.pop(name, None)
-            self._retire_lane_threadsafe(("tenant", name))
-            self._catalog_view = self._build_catalog_view()
-            return {"dropped": name, "tenants": list(catalog.names())}
-        if op == "bind_stream":
-            stream = self._required_str(request, "name")
-            tenants = request.get("tenants")
-            if not isinstance(tenants, list) or not all(
-                isinstance(member, str) for member in tenants
-            ):
-                raise ServeError(
-                    "bind_stream needs a 'tenants' list of tenant "
-                    f"names, got {tenants!r}"
-                )
-            fanout = catalog.bind_stream(stream, tenants)
-            self._publish_stream(stream, fanout)
-            self._catalog_view = self._build_catalog_view()
-            return {"stream": stream, "members": sorted(fanout.members)}
-        # drop_stream
-        stream = self._required_str(request, "name")
-        catalog.drop_stream(stream)
-        self._stream_views.pop(stream, None)
-        self._retire_lane_threadsafe(("stream", stream))
-        self._catalog_view = self._build_catalog_view()
-        return {"dropped": stream, "streams": list(catalog.streams())}
-
-    def _retire_lane_threadsafe(self, key: Tuple[str, str]) -> None:
-        """Schedule a lane retirement onto the event loop.
-
-        Admin ops run on the writer thread, but lanes (their queues
-        and futures) belong to the loop thread — mutating them here
-        would race the drainer.
+        The server's own session and every tenant's share this path;
+        only tenant-scoped responses carry a leading ``"tenant"`` key,
+        so untenanted responses keep the single-tenant shape.
         """
-        loop = getattr(self, "_loop", None)
-        if loop is None:
-            self._retire_lane(key)
-            return
-        loop.call_soon_threadsafe(self._retire_lane, key)
-
-    @staticmethod
-    def _required_str(request: Dict[str, Any], field: str) -> str:
-        value = request.get(field)
-        if not isinstance(value, str) or not value:
-            raise ServeError(
-                f"this operation needs a non-empty string {field!r} "
-                f"field, got {value!r}"
-            )
-        return value
-
-    def _write(self, op: str, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply one mutating operation (single writer thread)."""
-        session = self._session
+        kind, name = target
+        if kind == "stream":
+            return self._stream_write(op, name, request)
+        if target == SERVER_LANE:
+            session = self._session
+        else:
+            session = self._catalog.session(name)
         if op == "ingest":
             elements = elements_from_request(request)
-            return self._apply_ingest(elements)
-        if op == "flush":
+            result = self._apply_ingest(target, session, elements)
+        elif op == "flush":
             delta = session.flush()
-            view = self._publish()
-            return {"delta": delta, "seq": view.seq}
-        if op == "snapshot":
-            return {"snapshot": session.snapshot()}
-        if op == "reshard":
-            return self._apply_reshard(request)
-        # checkpoint
-        offset = session.checkpoint()
-        self._publish()
-        return {"offset": offset}
+            view = self._publish(target, session)
+            result = {"delta": delta, "seq": view.seq}
+        elif op == "snapshot":
+            result = {"snapshot": session.snapshot()}
+        elif op == "reshard":
+            result = self._apply_reshard(request)
+        else:  # checkpoint
+            offset = session.checkpoint()
+            self._publish(target, session)
+            result = {"offset": offset}
+        return result if target == SERVER_LANE else {"tenant": name, **result}
+
+    def _apply_ingest(
+        self, target: Tuple[str, str], session: Session, elements: list
+    ) -> Dict[str, Any]:
+        """Ingest one decoded batch into ``session`` and publish.
+
+        The replication primary overrides this to additionally fan the
+        server session's batches out to its followers after the
+        session applied them.  The result's ``elements`` doubles as the
+        client's read-your-writes watermark: the element offset its
+        write reached.
+        """
+        delta = session.ingest(elements)
+        view = self._publish(target, session)
+        return {
+            "accepted": len(elements),
+            "delta": delta,
+            "seq": view.seq,
+            "elements": view.elements,
+            "estimate": view.estimate,
+        }
 
     def _apply_reshard(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Reshard the session live (writer thread).
@@ -1247,23 +1108,98 @@ class EstimatorServer:
             "topology": view.topology,
         }
 
-    def _apply_ingest(self, elements: list) -> Dict[str, Any]:
-        """Ingest one decoded batch and publish (writer thread).
+    def _stream_write(
+        self, op: str, name: str, request: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """Apply one shared-stream mutation (writer thread)."""
+        fanout = self._catalog.open_stream(name)
+        if op == "ingest":
+            elements = elements_from_request(request)
+            fanout.ingest(elements)
+            view = self._publish_stream(name, fanout)
+            return {
+                "stream": name,
+                "accepted": len(elements),
+                **_stream_estimates(view),
+            }
+        if op == "flush":
+            fanout.flush()
+            view = self._publish_stream(name, fanout)
+            return {"stream": name, "seq": view["seq"]}
+        if op == "snapshot":
+            raise ServeError(
+                "snapshot is not supported per stream; checkpoint the "
+                "stream instead (one envelope covers every member)"
+            )
+        # checkpoint
+        offset = fanout.checkpoint()
+        self._publish_stream(name, fanout)
+        return {"stream": name, "offset": offset}
 
-        The replication primary overrides this to additionally fan the
-        batch out to its followers after the session applied it.  The
-        result's ``elements`` doubles as the client's read-your-writes
-        watermark: the global element offset its write reached.
-        """
-        delta = self._session.ingest(elements)
-        view = self._publish()
-        return {
-            "accepted": len(elements),
-            "delta": delta,
-            "seq": view.seq,
-            "elements": view.elements,
-            "estimate": view.estimate,
-        }
+    def _tenant_admin(
+        self, op: str, request: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """Apply one catalog-administration op (writer thread)."""
+        catalog = self._catalog
+        result: Dict[str, Any] = {}
+        dropped: Optional[Tuple[str, str]] = None
+        if op == "create_tenant":
+            name = self._required_str(request, "name")
+            spec = self._required_str(request, "spec")
+            catalog.create(name, spec, quota=request.get("quota"))
+            result = {
+                "tenant": name,
+                "spec": catalog.spec(name),
+                "quota": catalog.quota(name),
+            }
+        elif op == "drop_tenant":
+            name = self._required_str(request, "name")
+            catalog.drop(name)
+            dropped = ("tenant", name)
+            result = {"dropped": name, "tenants": list(catalog.names())}
+        elif op == "bind_stream":
+            stream = self._required_str(request, "name")
+            tenants = request.get("tenants")
+            if not isinstance(tenants, list) or not all(
+                isinstance(member, str) for member in tenants
+            ):
+                raise ServeError(
+                    "bind_stream needs a 'tenants' list of tenant "
+                    f"names, got {tenants!r}"
+                )
+            fanout = catalog.bind_stream(stream, tenants)
+            self._publish_stream(stream, fanout)
+            result = {"stream": stream, "members": sorted(fanout.members)}
+        elif op == "drop_stream":
+            stream = self._required_str(request, "name")
+            catalog.drop_stream(stream)
+            dropped = ("stream", stream)
+            result = {"dropped": stream, "streams": list(catalog.streams())}
+        if dropped is not None:
+            self._views.pop(dropped, None)
+            # Lanes (their queues and futures) belong to the loop
+            # thread; retiring one here would race the drainer.
+            self._loop.call_soon_threadsafe(self._retire_lane, dropped)
+        view = self._catalog_view = self._build_catalog_view()
+        if op == "list_tenants":
+            result = {
+                "tenants": [
+                    {"name": name, **entry}
+                    for name, entry in view["tenants"].items()
+                ],
+                "streams": view["streams"],
+            }
+        return result
+
+    @staticmethod
+    def _required_str(request: Dict[str, Any], field: str) -> str:
+        value = request.get(field)
+        if not isinstance(value, str) or not value:
+            raise ServeError(
+                f"this operation needs a non-empty string {field!r} "
+                f"field, got {value!r}"
+            )
+        return value
 
 
 class BackgroundServer:

@@ -17,12 +17,10 @@ matrix; the default run keeps a quick deterministic sample so the
 harness rides along in tier-1.
 """
 
-import importlib.util
 import os
-import pathlib
-import time
 
 import pytest
+from suite_utils import load_recovery_harness
 
 from repro.api import open_session
 from repro.faults import SimulatedCrash, crash_at
@@ -68,34 +66,6 @@ RESHARD_IRRELEVANT = frozenset(
 def sampled(matrix, keep=1):
     """The full ``matrix`` under CHAOS_FULL, else its first ``keep``."""
     return matrix if CHAOS_FULL else matrix[:keep]
-
-
-def wait_until(predicate, timeout=10.0, interval=0.01):
-    """Poll ``predicate`` until truthy; fail the test on timeout."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError(
-        f"condition not reached within {timeout}s: {predicate}"
-    )
-
-
-def load_recovery_harness():
-    """tests/store/test_recovery.py, loaded by path (see
-    tests/cluster/cluster_utils.py for why)."""
-    path = (
-        pathlib.Path(__file__).resolve().parent.parent
-        / "store"
-        / "test_recovery.py"
-    )
-    spec = importlib.util.spec_from_file_location(
-        "repro_chaos_recovery_harness", path
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 _recovery = load_recovery_harness()

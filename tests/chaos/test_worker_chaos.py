@@ -14,7 +14,8 @@ import multiprocessing
 import random
 
 import pytest
-from chaos_utils import build_durable, fingerprint, sampled, wait_until
+from chaos_utils import build_durable, fingerprint, sampled
+from suite_utils import wait_until
 
 from repro.api import open_session
 from repro.errors import EstimatorError

@@ -1,31 +1,7 @@
 """Shared helpers for the replicated-cluster suite."""
 
-import importlib.util
-import pathlib
-import time
-
 from repro.types import insertion
 
-
-def load_recovery_harness():
-    """The kill-at-every-offset harness of tests/store/test_recovery.py.
-
-    The failover proof reuses the recovery proof's acceptance matrix
-    (SPECS), fingerprinting, and kill-point enumeration — loaded by
-    path because pytest only puts sibling test directories on
-    ``sys.path`` while collecting them.
-    """
-    path = (
-        pathlib.Path(__file__).resolve().parent.parent
-        / "store"
-        / "test_recovery.py"
-    )
-    spec = importlib.util.spec_from_file_location(
-        "repro_store_recovery_harness", path
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 #: Spec used by most cluster tests: small, seeded, durable-friendly.
 SPEC = "abacus:budget=48,seed=11"
@@ -38,14 +14,3 @@ def unique_edges(count, start=0, left=7):
         for i in range(count)
     ]
 
-
-def wait_until(predicate, timeout=10.0, interval=0.01):
-    """Poll ``predicate`` until truthy; fail the test on timeout."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError(
-        f"condition not reached within {timeout}s: {predicate}"
-    )

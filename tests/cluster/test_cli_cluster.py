@@ -9,7 +9,8 @@ import socket
 import threading
 
 import pytest
-from cluster_utils import unique_edges, wait_until
+from cluster_utils import unique_edges
+from suite_utils import wait_until
 
 from repro.cli import _parse_address, build_parser, run_follow, run_serve
 from repro.errors import ClusterError

@@ -1,7 +1,8 @@
 """``ClusterClient``: routing, rotation, and failure-aware retry."""
 
 import pytest
-from cluster_utils import unique_edges, wait_until
+from cluster_utils import unique_edges
+from suite_utils import wait_until
 
 from repro.cluster import ClusterClient, follow_in_background
 from repro.errors import ClusterError, NotPrimaryError

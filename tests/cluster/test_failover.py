@@ -23,7 +23,7 @@ import json
 import random
 
 import pytest
-from cluster_utils import wait_until
+from suite_utils import wait_until
 
 from repro.api import open_session
 from repro.cluster import ClusterClient, follow_in_background
@@ -35,7 +35,7 @@ from repro.streams import make_fully_dynamic
 # The same acceptance matrix as tests/store/test_recovery.py — the
 # failover proof must hold for every estimator family the recovery
 # proof holds for.
-from cluster_utils import load_recovery_harness
+from suite_utils import load_recovery_harness
 
 _recovery = load_recovery_harness()
 SPECS = _recovery.SPECS

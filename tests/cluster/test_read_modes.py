@@ -9,7 +9,8 @@ rather than serving the stale view.
 """
 
 import pytest
-from cluster_utils import unique_edges, wait_until
+from cluster_utils import unique_edges
+from suite_utils import wait_until
 
 from repro.api import open_session
 from repro.cluster import ClusterClient, follow_in_background

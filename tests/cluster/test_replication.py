@@ -4,7 +4,8 @@ import json
 import socket
 
 import pytest
-from cluster_utils import unique_edges, wait_until
+from cluster_utils import unique_edges
+from suite_utils import wait_until
 
 from repro.api import open_session
 from repro.cluster import (

@@ -10,7 +10,8 @@ topology answer must come from the node that actually switched.
 """
 
 import pytest
-from cluster_utils import unique_edges, wait_until
+from cluster_utils import unique_edges
+from suite_utils import wait_until
 
 from repro.api import open_session
 from repro.cluster import (

@@ -15,6 +15,7 @@ import socket
 import pytest
 
 from repro.api import open_session
+from repro.errors import ServeError
 from repro.serve import ServeClient, serve_in_background
 from repro.serve.protocol import MAX_LINE
 
@@ -140,3 +141,18 @@ class TestMalformedRequestRecovery:
         with ServeClient(*server.address) as client:
             client.ingest([insertion("c", "d")])
             assert client.stats()["elements"] == 2
+
+    def test_unknown_ops_are_not_counted(self, server):
+        """Garbage op names must not grow the ``operations`` counter:
+        each distinct string would otherwise add a permanent key."""
+        with ServeClient(*server.address) as client:
+            client.ping()
+            for index in range(5):
+                with pytest.raises(ServeError, match="unknown operation"):
+                    client.call(f"garbage-{index}")
+            operations = client.stats()["operations"]
+            assert not any(op.startswith("garbage") for op in operations)
+            assert operations["ping"] == 1
+            # The connection still serves after the refusals.
+            assert client.ping()["pong"] is True
+            assert client.stats()["operations"]["ping"] == 2

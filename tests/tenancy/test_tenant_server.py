@@ -7,9 +7,9 @@ keeps the exact single-tenant protocol of previous releases.
 """
 
 import threading
-import time
 
 import pytest
+from suite_utils import wait_until
 
 from repro.api import open_session
 from repro.errors import ServeError
@@ -211,53 +211,70 @@ class TestStreamWireOps:
                 client.ingest(BUTTERFLY, tenant="a")
 
 
+def _queue_behind_blocked_writer(background, writes):
+    """Send ``writes`` concurrently while the one writer thread is
+    blocked, then release it; return the lane keys the drainer
+    dispatched meanwhile, in order.
+
+    Each entry of ``writes`` is a callable taking a fresh client.
+    Release waits until every write has reached the drainer: one is
+    in flight on the blocked writer, the rest sit in lane queues.
+    """
+    server = background.server
+    trace_start = len(server._fair_trace)
+
+    def reached_drainer():
+        queued = sum(len(lane.queue) for lane in list(server._lanes.values()))
+        return queued + len(server._fair_trace) - trace_start
+
+    gate = threading.Event()
+    server._writer_pool.submit(gate.wait)
+    threads = []
+    try:
+        for write in writes:
+            def send(write=write):
+                with ServeClient(*background.address) as client:
+                    write(client)
+
+            thread = threading.Thread(target=send)
+            thread.start()
+            threads.append(thread)
+        wait_until(lambda: reached_drainer() == len(writes))
+    finally:
+        gate.set()
+        for thread in threads:
+            thread.join(timeout=30)
+    return server._fair_trace[trace_start:]
+
+
+def _longest_run(picks):
+    longest, run = 1, 1
+    for previous, current in zip(picks, picks[1:]):
+        run = run + 1 if current == previous else 1
+        longest = max(longest, run)
+    return longest
+
+
 class TestFairShare:
     def test_round_robin_interleaves_lanes(self, tmp_path):
         """Queue bursts on two lanes while the writer is blocked;
         the drainer must alternate lanes, not drain one then the
         other."""
         with catalog_server(tmp_path / "root") as background:
-            server = background.server
             with ServeClient(*background.address) as admin:
                 admin.create_tenant("alice", "exact", quota=8)
                 admin.create_tenant("bob", "exact", quota=8)
-                # Prime both lanes (creates them) then block the one
-                # writer thread so queued writes pile up.
+                # Prime both lanes (creates them) so the burst below
+                # only queues writes.
                 admin.ingest([insertion("w", "x")], tenant="alice")
                 admin.ingest([insertion("w", "x")], tenant="bob")
-                trace_start = len(server._fair_trace)
-                gate = threading.Event()
-                server._writer_pool.submit(gate.wait)
-                try:
-                    threads = []
-                    for i in range(4):
-                        for name in ("alice", "bob"):
-                            def send(name=name, i=i):
-                                with ServeClient(
-                                    *background.address
-                                ) as client:
-                                    client.ingest(
-                                        [insertion(f"a{i}", f"b{i}")],
-                                        tenant=name,
-                                    )
-                            thread = threading.Thread(target=send)
-                            thread.start()
-                            threads.append(thread)
-                    # Wait for all eight to be queued behind the gate.
-                    deadline = time.monotonic() + 10.0
-                    while time.monotonic() < deadline:
-                        lanes = server._lanes
-                        queued = sum(
-                            len(lane.queue) for lane in lanes.values()
-                        )
-                        if queued >= 8:
-                            break
-                        time.sleep(0.01)
-                finally:
-                    gate.set()
-                for thread in threads:
-                    thread.join(timeout=30)
-            trace = server._fair_trace[trace_start:]
+                trace = _queue_behind_blocked_writer(background, [
+                    lambda client, name=name, i=i: client.ingest(
+                        [insertion(f"a{i}", f"b{i}")], tenant=name
+                    )
+                    for i in range(4)
+                    for name in ("alice", "bob")
+                ])
             alice = ("tenant", "alice")
             bob = ("tenant", "bob")
             picks = [key for key in trace if key in (alice, bob)]
@@ -267,11 +284,37 @@ class TestFairShare:
             # queued together, no lane is ever picked twice while the
             # other still has queued work — the longest same-lane run
             # is bounded by 2 (one in-flight straggler at the edges).
-            longest, run = 1, 1
-            for previous, current in zip(picks, picks[1:]):
-                run = run + 1 if current == previous else 1
-                longest = max(longest, run)
-            assert longest <= 2, picks
+            assert _longest_run(picks) <= 2, picks
+
+    def test_untenanted_writes_share_the_round_robin(self, tmp_path):
+        """The default session's writes ride the server's implicit
+        lane ``("server", "")`` through the same drainer, so they
+        alternate with a tenant's instead of bypassing it."""
+        session = open_session("exact")
+        with catalog_server(tmp_path / "root", session) as background:
+            with ServeClient(*background.address) as admin:
+                admin.create_tenant("alice", "exact", quota=8)
+                admin.ingest([insertion("w", "x")], tenant="alice")
+                trace = _queue_behind_blocked_writer(background, [
+                    lambda client, i=i: client.ingest(
+                        [insertion(f"s{i}", f"t{i}")]
+                    )
+                    for i in range(4)
+                ] + [
+                    lambda client, i=i: client.ingest(
+                        [insertion(f"a{i}", f"b{i}")], tenant="alice"
+                    )
+                    for i in range(4)
+                ])
+                stats = admin.stats()
+            own = ("server", "")
+            alice = ("tenant", "alice")
+            picks = [key for key in trace if key in (own, alice)]
+            assert picks.count(own) == 4
+            assert picks.count(alice) == 4
+            assert _longest_run(picks) <= 2, picks
+            assert stats["elements"] == 4
+            assert stats["tenants"]["alice"]["writes"] == 5
 
     def test_quota_backpressure_is_counted(self, tmp_path):
         with catalog_server(tmp_path / "root") as background:
@@ -279,6 +322,7 @@ class TestFairShare:
             with ServeClient(*background.address) as admin:
                 admin.create_tenant("alice", "exact", quota=1)
                 admin.ingest([insertion("w", "x")], tenant="alice")
+                lane = server._lanes[("tenant", "alice")]
                 gate = threading.Event()
                 server._writer_pool.submit(gate.wait)
                 try:
@@ -295,13 +339,7 @@ class TestFairShare:
                         thread = threading.Thread(target=send)
                         thread.start()
                         threads.append(thread)
-                    deadline = time.monotonic() + 10.0
-                    lane = None
-                    while time.monotonic() < deadline:
-                        lane = server._lanes.get(("tenant", "alice"))
-                        if lane is not None and lane.backpressure >= 2:
-                            break
-                        time.sleep(0.01)
+                    wait_until(lambda: lane.backpressure >= 2)
                 finally:
                     gate.set()
                 for thread in threads:
@@ -309,6 +347,59 @@ class TestFairShare:
                 stats = admin.stats(tenant="alice")
             assert stats["backpressure"] >= 2
             assert stats["writes"] == 4
+
+    def test_writes_parked_on_a_dropped_tenant_fail(self, tmp_path):
+        """Writes waiting on a tenant's quota when the tenant is
+        dropped must fail cleanly, not wait forever on a retired lane
+        that nothing drains."""
+        with catalog_server(tmp_path / "root") as background:
+            server = background.server
+            with ServeClient(*background.address) as admin:
+                admin.create_tenant("alice", "exact", quota=1)
+                admin.ingest([insertion("w", "x")], tenant="alice")
+            lane = server._lanes[("tenant", "alice")]
+            outcomes = []
+
+            def send(i):
+                with ServeClient(*background.address, timeout=10) as client:
+                    try:
+                        client.ingest(
+                            [insertion(f"a{i}", f"b{i}")], tenant="alice"
+                        )
+                        outcomes.append("ok")
+                    except ServeError as exc:
+                        outcomes.append(str(exc))
+
+            def drop():
+                with ServeClient(*background.address) as client:
+                    client.drop_tenant("alice")
+
+            gate = threading.Event()
+            server._writer_pool.submit(gate.wait)
+            threads = [threading.Thread(target=send, args=(i,))
+                       for i in range(3)]
+            try:
+                for thread in threads:
+                    thread.start()
+                # One write in flight, two parked on the quota of 1.
+                wait_until(lambda: lane.backpressure >= 2)
+                threads.append(threading.Thread(target=drop))
+                threads[-1].start()
+                # Dispatch queues the drop behind the blocked writer.
+                wait_until(
+                    lambda: server._counters.get("drop_tenant") == 1
+                )
+            finally:
+                gate.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+        assert len(outcomes) == 3
+        assert "ok" in outcomes
+        # A refusal names the drop ("was dropped before this write
+        # ran", or "unknown tenant" once the catalog forgot it); a
+        # client timeout here means a write was stranded.
+        for outcome in outcomes:
+            assert outcome == "ok" or "TenancyError" in outcome, outcomes
 
 
 class TestScopedConsistency:
