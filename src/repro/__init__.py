@@ -33,43 +33,7 @@ The estimator classes remain importable for direct construction::
     counter.process(insertion("alice", "matrix"))
 """
 
-from repro.api import (
-    EstimatorSpec,
-    Session,
-    SessionMetrics,
-    ShardedEstimator,
-    WindowedEstimator,
-    build_estimator,
-    open_session,
-    parse_spec,
-    register_estimator,
-    registered_estimators,
-    restore_session,
-)
-from repro.baselines import CoAffiliationSampling, Fleet
-from repro.serve import ServeClient, serve_in_background
-from repro.store import DurableStore, SnapshotStore, WalWriter
-from repro.tenancy import SharedStreamFanout, TenantCatalog
-from repro.core import (
-    Abacus,
-    AbacusSupport,
-    ButterflyEstimator,
-    EnsembleEstimator,
-    ExactStreamingCounter,
-    Parabacus,
-    StatefulEstimator,
-)
-from repro.graph import BipartiteGraph, count_butterflies
-from repro.streams import EdgeStream, make_fully_dynamic, stream_from_edges
-from repro.types import (
-    Op,
-    StreamElement,
-    TimedEdge,
-    deletion,
-    insertion,
-    timed_deletion,
-    timed_insertion,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.7.0"
 
@@ -115,3 +79,50 @@ __all__ = [
     "timed_deletion",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.api": (
+            "EstimatorSpec",
+            "Session",
+            "SessionMetrics",
+            "ShardedEstimator",
+            "WindowedEstimator",
+            "build_estimator",
+            "open_session",
+            "parse_spec",
+            "register_estimator",
+            "registered_estimators",
+            "restore_session",
+        ),
+        "repro.baselines": ("CoAffiliationSampling", "Fleet"),
+        "repro.serve": ("ServeClient", "serve_in_background"),
+        "repro.store": ("DurableStore", "SnapshotStore", "WalWriter"),
+        "repro.tenancy": ("SharedStreamFanout", "TenantCatalog"),
+        "repro.core": (
+            "Abacus",
+            "AbacusSupport",
+            "ButterflyEstimator",
+            "EnsembleEstimator",
+            "ExactStreamingCounter",
+            "Parabacus",
+            "StatefulEstimator",
+        ),
+        "repro.graph": ("BipartiteGraph", "count_butterflies"),
+        "repro.streams": (
+            "EdgeStream",
+            "make_fully_dynamic",
+            "stream_from_edges",
+        ),
+        "repro.types": (
+            "Op",
+            "StreamElement",
+            "TimedEdge",
+            "deletion",
+            "insertion",
+            "timed_deletion",
+            "timed_insertion",
+        ),
+    },
+)

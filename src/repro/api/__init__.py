@@ -20,35 +20,17 @@ engine (``windowed`` — see :mod:`repro.window` and the ``window=`` /
 ``window_time=`` options of :func:`open_session`).
 """
 
-from repro.api.registry import (
-    EstimatorSpec,
-    Param,
-    Registration,
-    build_estimator,
-    describe_registry,
-    get_registration,
-    parse_spec,
-    register_estimator,
-    registered_estimators,
-    registration_for_instance,
-)
-from repro.api import builtin as _builtin  # noqa: F401  (registers estimators)
-from repro.api.builtin import DEFAULT_BUDGET
-from repro.api.session import (
-    DEFAULT_INGEST_BATCH,
-    SNAPSHOT_FORMAT_VERSION,
-    Session,
-    SessionMetrics,
-    open_session,
-    restore_session,
-)
+from repro._lazy import lazy_exports
 
-# Imported last: repro.shard registers the "sharded" engine and
-# repro.window the "windowed" engine (they pull the registry from this
-# partially-initialised package, which is safe because the registry
-# submodule above is already fully loaded).
-from repro.shard import ShardedEstimator
-from repro.window import WindowedEstimator
+# Registration side effects, so that importing this package is enough to
+# build any registered spec: the built-in estimators, the sharded engine
+# ("sharded") and the sliding-window engine ("windowed").  The engines
+# pull the registry from this partially-initialised package, which is
+# safe because they only need the registry submodule.  Neither loads a
+# shard backend: those are imported when a sharded estimator is built.
+from repro.api import builtin as _builtin  # noqa: F401
+from repro.shard import engine as _sharded  # noqa: F401
+from repro.window import engine as _windowed  # noqa: F401
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -71,3 +53,32 @@ __all__ = [
     "registration_for_instance",
     "restore_session",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.registry": (
+            "EstimatorSpec",
+            "Param",
+            "Registration",
+            "build_estimator",
+            "describe_registry",
+            "get_registration",
+            "parse_spec",
+            "register_estimator",
+            "registered_estimators",
+            "registration_for_instance",
+        ),
+        "repro.api.builtin": ("DEFAULT_BUDGET",),
+        "repro.api.session": (
+            "DEFAULT_INGEST_BATCH",
+            "SNAPSHOT_FORMAT_VERSION",
+            "Session",
+            "SessionMetrics",
+            "open_session",
+            "restore_session",
+        ),
+        "repro.shard.engine": ("ShardedEstimator",),
+        "repro.window.engine": ("WindowedEstimator",),
+    },
+)

@@ -6,23 +6,7 @@ metrics such as the butterfly clustering coefficient.  These modules
 implement both on top of any :class:`~repro.core.base.ButterflyEstimator`.
 """
 
-from repro.apps.anomaly import Alert, ButterflyBurstDetector
-from repro.apps.anomaly_quality import (
-    DetectionQuality,
-    compare_estimators,
-    evaluate_detector,
-    planted_anomaly_stream,
-)
-from repro.apps.clustering import StreamingClusteringCoefficient
-from repro.apps.similarity import (
-    SampleSimilarity,
-    butterfly_affinity,
-    common_neighbors,
-    cosine_similarity,
-    jaccard_similarity,
-    similarity_matrix,
-    top_k_similar,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Alert",
@@ -40,3 +24,26 @@ __all__ = [
     "top_k_similar",
     "similarity_matrix",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.apps.anomaly": ("Alert", "ButterflyBurstDetector"),
+        "repro.apps.anomaly_quality": (
+            "DetectionQuality",
+            "compare_estimators",
+            "evaluate_detector",
+            "planted_anomaly_stream",
+        ),
+        "repro.apps.clustering": ("StreamingClusteringCoefficient",),
+        "repro.apps.similarity": (
+            "SampleSimilarity",
+            "butterfly_affinity",
+            "common_neighbors",
+            "cosine_similarity",
+            "jaccard_similarity",
+            "similarity_matrix",
+            "top_k_similar",
+        ),
+    },
+)

@@ -14,8 +14,15 @@ All ignore edge deletions — their defining limitation and the source of
 their accuracy collapse on fully dynamic streams.
 """
 
-from repro.baselines.cas import CoAffiliationSampling
-from repro.baselines.fleet import Fleet
-from repro.baselines.sgrapp import SGrapp
+from repro._lazy import lazy_exports
 
 __all__ = ["Fleet", "CoAffiliationSampling", "SGrapp"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.cas": ("CoAffiliationSampling",),
+        "repro.baselines.fleet": ("Fleet",),
+        "repro.baselines.sgrapp": ("SGrapp",),
+    },
+)

@@ -58,13 +58,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.api import describe_registry, open_session, parse_spec
 from repro.errors import ReproError
-from repro.experiments import extensions, figures
-from repro.experiments.plotting import line_chart
-from repro.experiments.runner import ExperimentContext
+
+# Each subcommand imports its own stack (experiments, tenancy, cluster,
+# serve) in its handler, so `repro serve` never loads the experiment
+# harness and `repro estimators` loads neither.
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentContext
 
 #: Spec used when an experiment needs an estimator and the user gave
 #: no ``--estimator``.
@@ -309,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _accuracy_charts(result: dict, alpha: float) -> str:
     """ASCII error-vs-k charts for a fig3/fig5 result dict."""
+    from repro.experiments.plotting import line_chart
+
     blocks = []
     for dataset, info in result["results"].items():
         series = {
@@ -356,6 +361,7 @@ def run_stream(
     window already expired.
     """
     from repro.experiments.datasets import get_dataset
+    from repro.experiments.runner import ExperimentContext
     from repro.types import TimedEdge
 
     ctx = context or ExperimentContext()
@@ -783,9 +789,12 @@ def run_experiment(
     durable_dir: Optional[str] = None,
 ) -> str:
     """Execute one experiment; return its rendered report."""
-    ctx = context or ExperimentContext()
     if name == "estimators":
         return describe_registry()
+    from repro.experiments import extensions, figures
+    from repro.experiments.runner import ExperimentContext
+
+    ctx = context or ExperimentContext()
     if name == "stream":
         return run_stream(
             estimator_spec or DEFAULT_SPEC,
@@ -858,7 +867,6 @@ def run_experiment(
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     datasets = _split_datasets(args.datasets)
-    context = ExperimentContext()
     if args.experiment == "serve":
         try:
             return run_serve(
@@ -933,6 +941,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         ]
     else:
         names = [args.experiment]
+    context = None
+    if args.experiment != "estimators":
+        from repro.experiments.runner import ExperimentContext
+
+        context = ExperimentContext()
     try:
         for name in names:
             report = run_experiment(

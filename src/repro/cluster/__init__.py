@@ -11,29 +11,7 @@ grammar lives in :mod:`repro.cluster.protocol`, lag accounting in
 including the proven failover contract — in ``docs/replication.md``.
 """
 
-from repro.cluster.client import ClusterClient
-from repro.cluster.follower import (
-    FollowerServer,
-    bootstrap_follower,
-    follow_in_background,
-    install_snapshot,
-)
-from repro.cluster.primary import (
-    ReplicatingServer,
-    replicate_in_background,
-)
-from repro.cluster.protocol import (
-    CATCHUP_BATCH,
-    DEFAULT_HEARTBEAT_S,
-    REPLICATION_MAX_LINE,
-    REPLICATION_PROTOCOL_VERSION,
-    ack_message,
-    batch_message,
-    decode_ack,
-    decode_stream_message,
-    handshake_request,
-    heartbeat_message,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CATCHUP_BATCH",
@@ -54,3 +32,32 @@ __all__ = [
     "install_snapshot",
     "replicate_in_background",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.cluster.client": ("ClusterClient",),
+        "repro.cluster.follower": (
+            "FollowerServer",
+            "bootstrap_follower",
+            "follow_in_background",
+            "install_snapshot",
+        ),
+        "repro.cluster.primary": (
+            "ReplicatingServer",
+            "replicate_in_background",
+        ),
+        "repro.cluster.protocol": (
+            "CATCHUP_BATCH",
+            "DEFAULT_HEARTBEAT_S",
+            "REPLICATION_MAX_LINE",
+            "REPLICATION_PROTOCOL_VERSION",
+            "ack_message",
+            "batch_message",
+            "decode_ack",
+            "decode_stream_message",
+            "handshake_request",
+            "heartbeat_message",
+        ),
+    },
+)

@@ -1,27 +1,6 @@
 """Core estimators: ABACUS, PARABACUS, and the exact streaming oracle."""
 
-from repro.core.abacus import Abacus
-from repro.core.base import ButterflyEstimator, StatefulEstimator
-from repro.core.checkpoint import (
-    abacus_from_dict,
-    abacus_to_dict,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.core.ensemble import EnsembleEstimator
-from repro.core.exact import ExactStreamingCounter
-from repro.core.lazy import LazyAbacus
-from repro.core.local import AbacusLocal
-from repro.core.parabacus import Parabacus
-from repro.core.support import AbacusSupport
-from repro.core.probabilities import (
-    chebyshev_bound,
-    discovery_probability,
-    extrapolation_factor,
-    subset_inclusion_probability,
-    variance_closed_form,
-    variance_upper_bound,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Abacus",
@@ -44,3 +23,31 @@ __all__ = [
     "variance_upper_bound",
     "chebyshev_bound",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.abacus": ("Abacus",),
+        "repro.core.base": ("ButterflyEstimator", "StatefulEstimator"),
+        "repro.core.checkpoint": (
+            "abacus_from_dict",
+            "abacus_to_dict",
+            "load_checkpoint",
+            "save_checkpoint",
+        ),
+        "repro.core.ensemble": ("EnsembleEstimator",),
+        "repro.core.exact": ("ExactStreamingCounter",),
+        "repro.core.lazy": ("LazyAbacus",),
+        "repro.core.local": ("AbacusLocal",),
+        "repro.core.parabacus": ("Parabacus",),
+        "repro.core.support": ("AbacusSupport",),
+        "repro.core.probabilities": (
+            "chebyshev_bound",
+            "discovery_probability",
+            "extrapolation_factor",
+            "subset_inclusion_probability",
+            "variance_closed_form",
+            "variance_upper_bound",
+        ),
+    },
+)

@@ -26,13 +26,11 @@ from __future__ import annotations
 
 from typing import Set, Tuple
 
+from repro.sampling import ndadjacency
 from repro.sampling.adjacency_sample import GraphSample
-from repro.sampling.ndadjacency import NUMPY_AVAILABLE, NdAdjacency
+from repro.sampling.ndadjacency import NdAdjacency
 from repro.sampling.versioned import VersionedGraphSample
 from repro.types import Vertex
-
-if NUMPY_AVAILABLE:
-    import numpy as np
 
 #: Below this combined endpoint degree the vectorized kernel defers to
 #: the scalar one: a handful of set probes beats the fixed cost of the
@@ -153,6 +151,7 @@ def count_with_mirror(
         anchors = anchors[anchors != skip_id]
         if anchors.shape[0] == 0:
             return 0, 0
+    np = ndadjacency.np  # loaded when the mirror was built
     work = int(np.minimum(degrees.take(anchors), opposite.shape[0]).sum())
     flat = np.concatenate([rows[w] for w in anchors.tolist()])
     mask = mirror.scratch_mask

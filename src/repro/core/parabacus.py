@@ -29,8 +29,7 @@ the Figure 8/9 benchmarks; see DESIGN.md substitution #2.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.base import ButterflyEstimator
 from repro.core.counting import count_with_versioned_sample
@@ -40,6 +39,9 @@ from repro.sampling.random_pairing import RandomPairing
 from repro.sampling.versioned import VersionedGraphSample
 from repro.streams.minibatch import iter_minibatches, partition_round_robin
 from repro.types import Op, StreamElement
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 
 class Parabacus(ButterflyEstimator):
@@ -369,6 +371,8 @@ class Parabacus(ButterflyEstimator):
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
         if self._executor is None:
+            from concurrent.futures import ThreadPoolExecutor
+
             self._executor = ThreadPoolExecutor(max_workers=self.num_threads)
         return self._executor
 

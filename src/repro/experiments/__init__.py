@@ -1,18 +1,6 @@
 """Experiment harness reproducing the paper's evaluation (Section VI)."""
 
-from repro.experiments.datasets import (
-    DATASETS,
-    DatasetSpec,
-    get_dataset,
-    list_datasets,
-)
-from repro.experiments.runner import (
-    ExperimentContext,
-    ground_truth_final_count,
-    make_estimator,
-)
-from repro.experiments.plotting import bar_chart, histogram, line_chart
-from repro.experiments.report import render_series, render_table
+from repro._lazy import lazy_exports
 
 __all__ = [
     "bar_chart",
@@ -28,3 +16,22 @@ __all__ = [
     "render_table",
     "render_series",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.datasets": (
+            "DATASETS",
+            "DatasetSpec",
+            "get_dataset",
+            "list_datasets",
+        ),
+        "repro.experiments.runner": (
+            "ExperimentContext",
+            "ground_truth_final_count",
+            "make_estimator",
+        ),
+        "repro.experiments.plotting": ("bar_chart", "histogram", "line_chart"),
+        "repro.experiments.report": ("render_series", "render_table"),
+    },
+)

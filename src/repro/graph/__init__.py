@@ -6,38 +6,7 @@ a k-bitruss decomposition built on butterfly support, one-mode
 projections, and synthetic graph generators.
 """
 
-from repro.graph.bipartite import BipartiteGraph
-from repro.graph.butterflies import (
-    butterflies_containing_edge,
-    butterfly_counts_per_vertex,
-    count_butterflies,
-    count_butterflies_brute_force,
-)
-from repro.graph.wedges import count_wedges, wedge_counts_per_pair
-from repro.graph.bitruss import (
-    bitruss_decomposition,
-    butterfly_support,
-    k_bitruss,
-)
-from repro.graph.core_decomposition import (
-    ab_core,
-    alpha_beta_core_numbers,
-    butterfly_core_prefilter,
-)
-from repro.graph.tip_decomposition import (
-    butterfly_counts_one_side,
-    k_tip,
-    max_tip_number,
-    tip_decomposition,
-)
-from repro.graph.projection import project
-from repro.graph.generators import (
-    bipartite_chung_lu,
-    bipartite_configuration_model,
-    bipartite_erdos_renyi,
-    planted_bicliques,
-    power_law_degree_sequence,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BipartiteGraph",
@@ -64,3 +33,41 @@ __all__ = [
     "planted_bicliques",
     "power_law_degree_sequence",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.graph.bipartite": ("BipartiteGraph",),
+        "repro.graph.butterflies": (
+            "butterflies_containing_edge",
+            "butterfly_counts_per_vertex",
+            "count_butterflies",
+            "count_butterflies_brute_force",
+        ),
+        "repro.graph.wedges": ("count_wedges", "wedge_counts_per_pair"),
+        "repro.graph.bitruss": (
+            "bitruss_decomposition",
+            "butterfly_support",
+            "k_bitruss",
+        ),
+        "repro.graph.core_decomposition": (
+            "ab_core",
+            "alpha_beta_core_numbers",
+            "butterfly_core_prefilter",
+        ),
+        "repro.graph.tip_decomposition": (
+            "butterfly_counts_one_side",
+            "k_tip",
+            "max_tip_number",
+            "tip_decomposition",
+        ),
+        "repro.graph.projection": ("project",),
+        "repro.graph.generators": (
+            "bipartite_chung_lu",
+            "bipartite_configuration_model",
+            "bipartite_erdos_renyi",
+            "planted_bicliques",
+            "power_law_degree_sequence",
+        ),
+    },
+)

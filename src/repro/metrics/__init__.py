@@ -1,21 +1,7 @@
 """Evaluation metrics: accuracy, throughput, balance, replication
 lag, and multi-tenant fair-share summaries."""
 
-from repro.metrics.accuracy import (
-    mean,
-    percentile,
-    relative_error,
-    summarize_errors,
-)
-from repro.metrics.replication import lag_summary
-from repro.metrics.tenancy import FairShareSummary, fair_share
-from repro.metrics.throughput import Stopwatch, throughput_eps
-from repro.metrics.timeseries import (
-    TrajectoryPoint,
-    TrajectoryTracker,
-    track_against_oracle,
-)
-from repro.metrics.workload import workload_balance
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FairShareSummary",
@@ -32,3 +18,24 @@ __all__ = [
     "throughput_eps",
     "workload_balance",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.metrics.accuracy": (
+            "mean",
+            "percentile",
+            "relative_error",
+            "summarize_errors",
+        ),
+        "repro.metrics.replication": ("lag_summary",),
+        "repro.metrics.tenancy": ("FairShareSummary", "fair_share"),
+        "repro.metrics.throughput": ("Stopwatch", "throughput_eps"),
+        "repro.metrics.timeseries": (
+            "TrajectoryPoint",
+            "TrajectoryTracker",
+            "track_against_oracle",
+        ),
+        "repro.metrics.workload": ("workload_balance",),
+    },
+)

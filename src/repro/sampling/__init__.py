@@ -18,11 +18,7 @@ Contains the bounded-size sampling schemes the estimators are built on:
   kernels.
 """
 
-from repro.sampling.adjacency_sample import GraphSample
-from repro.sampling.ndadjacency import NUMPY_AVAILABLE, NdAdjacency
-from repro.sampling.random_pairing import BatchIngestResult, RandomPairing
-from repro.sampling.reservoir import ReservoirSampler
-from repro.sampling.versioned import VersionedGraphSample
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchIngestResult",
@@ -33,3 +29,17 @@ __all__ = [
     "ReservoirSampler",
     "VersionedGraphSample",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sampling.adjacency_sample": ("GraphSample",),
+        "repro.sampling.ndadjacency": ("NUMPY_AVAILABLE", "NdAdjacency"),
+        "repro.sampling.random_pairing": (
+            "BatchIngestResult",
+            "RandomPairing",
+        ),
+        "repro.sampling.reservoir": ("ReservoirSampler",),
+        "repro.sampling.versioned": ("VersionedGraphSample",),
+    },
+)

@@ -18,25 +18,41 @@ NumPy is an optional dependency of this module: when it is missing,
 :data:`NUMPY_AVAILABLE` is False and the estimators silently keep their
 per-element scalar paths (results are identical either way — the batch
 fast path is a performance contract, not a semantic one).
+
+This is the one place the package imports NumPy, and it does so on
+demand (:func:`load_numpy`): when the first mirror is built, or when a
+NumPy ``Generator`` reaches
+:meth:`~repro.sampling.reservoir.ReservoirSampler.offer_batch`.  A
+process whose batches never get dense enough for the mirror never pays
+for the import.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    NUMPY_AVAILABLE = True
-except ImportError:  # pragma: no cover - CI images all ship numpy
-    np = None  # type: ignore[assignment]
-    NUMPY_AVAILABLE = False
+import importlib.util
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SamplingError
 from repro.sampling.adjacency_sample import GraphSample, Mutation
 from repro.types import Vertex
 
+#: Whether NumPy is installed (found, not yet imported).
+NUMPY_AVAILABLE = importlib.util.find_spec("numpy") is not None
+
+#: The ``numpy`` module once :func:`load_numpy` imported it.
+np: Any = None
+
 _EMPTY = None  # initialised lazily so the module imports without numpy
+
+
+def load_numpy() -> Any:
+    """The ``numpy`` module, imported on first call; None without NumPy."""
+    global np
+    if np is None and NUMPY_AVAILABLE:
+        import numpy
+
+        np = numpy
+    return np
 
 
 def _empty_row():
@@ -62,6 +78,7 @@ class NdAdjacency:
     def __init__(self) -> None:
         if not NUMPY_AVAILABLE:
             raise SamplingError("NdAdjacency requires numpy")
+        load_numpy()
         self._id_of: Dict[Vertex, int] = {}
         self._rows: List["np.ndarray"] = []
         self._deg = np.zeros(16, dtype=np.int64)

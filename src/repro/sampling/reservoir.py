@@ -24,15 +24,11 @@ import random
 from typing import Generic, List, Optional, Sequence, TypeVar, Union
 
 from repro.errors import SamplingError
-
-try:  # pragma: no cover - numpy ships in the supported environments
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.sampling.ndadjacency import load_numpy
 
 T = TypeVar("T")
 
-RandomSource = Union[random.Random, "_np.random.Generator"]
+RandomSource = Union[random.Random, "numpy.random.Generator"]
 
 
 class ReservoirSampler(Generic[T]):
@@ -115,13 +111,12 @@ class ReservoirSampler(Generic[T]):
             items = items[fill:]
         if not items:
             return evicted
-        if _np is not None and isinstance(self._rng, _np.random.Generator):
-            bounds = self.num_seen + 1 + _np.arange(
-                len(items), dtype=_np.int64
-            )
+        np = None if isinstance(self._rng, random.Random) else load_numpy()
+        if np is not None and isinstance(self._rng, np.random.Generator):
+            bounds = self.num_seen + 1 + np.arange(len(items), dtype=np.int64)
             draws = self._rng.integers(0, bounds)
             self.num_seen += len(items)
-            for position in _np.nonzero(draws < self.capacity)[0].tolist():
+            for position in np.nonzero(draws < self.capacity)[0].tolist():
                 slot = int(draws[position])
                 evicted.append(self._items[slot])
                 self._items[slot] = items[position]

@@ -19,18 +19,7 @@ CLI: ``repro serve --estimator SPEC [--durable-dir DIR]``.  The full
 protocol and consistency contract live in ``docs/serving.md``.
 """
 
-from repro.serve.client import ServeClient
-from repro.serve.protocol import (
-    MAX_LINE,
-    PROTOCOL_VERSION,
-    SUPPORTED_CODECS,
-)
-from repro.serve.server import (
-    BackgroundServer,
-    EstimatorServer,
-    ServingView,
-    serve_in_background,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BackgroundServer",
@@ -42,3 +31,21 @@ __all__ = [
     "ServingView",
     "serve_in_background",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.client": ("ServeClient",),
+        "repro.serve.protocol": (
+            "MAX_LINE",
+            "PROTOCOL_VERSION",
+            "SUPPORTED_CODECS",
+        ),
+        "repro.serve.server": (
+            "BackgroundServer",
+            "EstimatorServer",
+            "ServingView",
+            "serve_in_background",
+        ),
+    },
+)

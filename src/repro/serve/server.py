@@ -54,6 +54,7 @@ import dataclasses
 import threading
 from collections import deque
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Deque,
@@ -70,7 +71,6 @@ from repro.errors import (
     StaleReadError,
     TenancyError,
 )
-from repro.metrics.tenancy import fair_share
 from repro.serve.protocol import (
     MAX_LINE,
     PROTOCOL_VERSION,
@@ -81,7 +81,11 @@ from repro.serve.protocol import (
     error_response,
     result_response,
 )
-from repro.tenancy.catalog import DEFAULT_TENANT_QUOTA, TenantCatalog
+
+# The tenant catalog (and its fair-share metric) loads only for a server
+# that hosts one: a single-session server never imports repro.tenancy.
+if TYPE_CHECKING:
+    from repro.tenancy.catalog import TenantCatalog
 
 __all__ = [
     "BackgroundServer",
@@ -366,11 +370,11 @@ class EstimatorServer:
         self._autoscale_reshards = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._catalog = catalog
-        self._tenant_quota = (
-            tenant_quota
-            if tenant_quota is not None
-            else DEFAULT_TENANT_QUOTA
-        )
+        if tenant_quota is None and catalog is not None:
+            from repro.tenancy.catalog import DEFAULT_TENANT_QUOTA
+
+            tenant_quota = DEFAULT_TENANT_QUOTA
+        self._tenant_quota = tenant_quota
         self._lanes: Dict[Tuple[str, str], _Lane] = {
             SERVER_LANE: _Lane(SERVER_LANE, max_pending_writes)
         }
@@ -920,6 +924,8 @@ class EstimatorServer:
         Only present when a catalog is hosted, so tenant-less servers
         keep the exact pre-tenancy response shape.
         """
+        from repro.metrics.tenancy import fair_share
+
         catalog_view = self._catalog_view
         tenants = {
             name: {

@@ -31,24 +31,7 @@ The usual entry point is the session facade::
         print(session.estimate)
 """
 
-from repro.shard.backends import (
-    BACKEND_NAMES,
-    ProcessBackend,
-    SerialBackend,
-    ShardBackend,
-    ThreadBackend,
-)
-from repro.shard.autoscale import Autoscaler, AutoscaleDecision
-from repro.shard.engine import ReshardReport, ShardedEstimator
-from repro.shard.partition import (
-    PARTITIONER_NAMES,
-    BalancedPartitioner,
-    HashPartitioner,
-    Partitioner,
-    make_partitioner,
-    partitioner_from_state,
-    shard_seed,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BACKEND_NAMES",
@@ -68,3 +51,27 @@ __all__ = [
     "partitioner_from_state",
     "shard_seed",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.shard.backends": (
+            "BACKEND_NAMES",
+            "ProcessBackend",
+            "SerialBackend",
+            "ShardBackend",
+            "ThreadBackend",
+        ),
+        "repro.shard.autoscale": ("Autoscaler", "AutoscaleDecision"),
+        "repro.shard.engine": ("ReshardReport", "ShardedEstimator"),
+        "repro.shard.partition": (
+            "PARTITIONER_NAMES",
+            "BalancedPartitioner",
+            "HashPartitioner",
+            "Partitioner",
+            "make_partitioner",
+            "partitioner_from_state",
+            "shard_seed",
+        ),
+    },
+)

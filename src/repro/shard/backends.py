@@ -29,13 +29,14 @@ protocol plus serialisation.
 from __future__ import annotations
 
 import abc
-import multiprocessing
-import multiprocessing.connection
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import ButterflyEstimator
 from repro.errors import EstimatorError, SpecError
 from repro.types import Op, StreamElement
+
+if TYPE_CHECKING:
+    import multiprocessing.connection
 
 __all__ = [
     "BACKEND_NAMES",
@@ -300,6 +301,8 @@ class ProcessBackend(ShardBackend):
     def __init__(self, payloads: Sequence[Dict[str, Any]]) -> None:
         if not payloads:
             raise SpecError("a shard backend needs at least one estimator")
+        import multiprocessing
+
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else None

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import (
     EstimatorSpec,
@@ -56,7 +56,6 @@ from repro.api.registry import (
 from repro.core.base import ButterflyEstimator
 from repro.errors import EstimatorError, SpecError
 from repro.faults import fault_point
-from repro.shard.backends import BACKEND_NAMES, ShardBackend, make_backend
 from repro.shard.partition import (
     Partitioner,
     _as_vertex,
@@ -66,7 +65,27 @@ from repro.shard.partition import (
 )
 from repro.types import StreamElement, Vertex, insertion
 
+if TYPE_CHECKING:
+    from repro.shard.backends import ShardBackend
+
 __all__ = ["ReshardReport", "ShardedEstimator"]
+
+
+def _check_backend(backend: str) -> str:
+    """The normalised ``backend`` name; SpecError if unknown.
+
+    The backends module (and with it ``multiprocessing``) is imported
+    here, when a sharded estimator is built, not when it registers.
+    """
+    from repro.shard.backends import BACKEND_NAMES
+
+    name = backend.strip().lower()
+    if name not in BACKEND_NAMES:
+        raise SpecError(
+            f"unknown shard backend {backend!r}; "
+            f"available: {', '.join(BACKEND_NAMES)}"
+        )
+    return name
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,12 +170,7 @@ class ShardedEstimator(ButterflyEstimator):
             )
         self._registration = registration
         self._num_shards = shards
-        self._backend_name = backend.strip().lower()
-        if self._backend_name not in BACKEND_NAMES:
-            raise SpecError(
-                f"unknown shard backend {backend!r}; "
-                f"available: {', '.join(BACKEND_NAMES)}"
-            )
+        self._backend_name = _check_backend(backend)
         self._salt = salt
         self._seed = seed
         if _partitioner_state is not None:
@@ -221,6 +235,8 @@ class ShardedEstimator(ButterflyEstimator):
             return self._build_fresh_backend(
                 self._shard_specs, self._backend_name
             )
+        from repro.shard.backends import make_backend
+
         if self._backend_name == "process":
             payloads = [
                 {"restore": {"name": self._registration.name, "state": s}}
@@ -234,6 +250,8 @@ class ShardedEstimator(ButterflyEstimator):
         self, specs: Sequence[EstimatorSpec], backend_name: str
     ) -> ShardBackend:
         """Empty estimators from ``specs`` on a new ``backend_name``."""
+        from repro.shard.backends import make_backend
+
         if backend_name == "process":
             payloads = [{"spec": s.to_dict()} for s in specs]
             return make_backend("process", payloads=payloads)
@@ -441,12 +459,7 @@ class ShardedEstimator(ButterflyEstimator):
                 "the live-edge replay set is incomplete; re-ingest "
                 "through a current snapshot first"
             )
-        backend_name = (backend or self._backend_name).strip().lower()
-        if backend_name not in BACKEND_NAMES:
-            raise SpecError(
-                f"unknown shard backend {backend!r}; "
-                f"available: {', '.join(BACKEND_NAMES)}"
-            )
+        backend_name = _check_backend(backend or self._backend_name)
         partitioner_name = partitioner or self._partitioner.name
         new_salt = self._salt if salt is None else salt
         started = time.perf_counter()

@@ -19,12 +19,7 @@ summaries a streaming deployment of the estimators wants:
   (live deletion-ratio estimates).
 """
 
-from repro.sketch.ams import AmsSketch
-from repro.sketch.bloom import BloomFilter, CountingBloomFilter
-from repro.sketch.countmin import CountMinSketch, HeavyHitterTracker
-from repro.sketch.dgim import DeletionRateMonitor, DgimCounter
-from repro.sketch.hashing import FourWiseHash, as_int_key, mix64
-from repro.sketch.hyperloglog import HyperLogLog, StreamCardinalityTracker
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AmsSketch",
@@ -40,3 +35,18 @@ __all__ = [
     "as_int_key",
     "mix64",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sketch.ams": ("AmsSketch",),
+        "repro.sketch.bloom": ("BloomFilter", "CountingBloomFilter"),
+        "repro.sketch.countmin": ("CountMinSketch", "HeavyHitterTracker"),
+        "repro.sketch.dgim": ("DeletionRateMonitor", "DgimCounter"),
+        "repro.sketch.hashing": ("FourWiseHash", "as_int_key", "mix64"),
+        "repro.sketch.hyperloglog": (
+            "HyperLogLog",
+            "StreamCardinalityTracker",
+        ),
+    },
+)

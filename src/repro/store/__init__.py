@@ -27,28 +27,7 @@ The user-facing entry point is
 :mod:`repro.api.session`; this package is the machinery underneath.
 """
 
-from repro.store.codec import (
-    MAX_KEY_BYTES,
-    PACKED_FORMAT,
-    decode_batch,
-    decode_element,
-    encode_batch,
-    encode_element,
-)
-from repro.store.durable import (
-    DEFAULT_FSYNC_EVERY,
-    DurableStore,
-    RecoveredState,
-)
-from repro.store.snapshots import SnapshotStore
-from repro.store.wal import (
-    DEFAULT_WAL_FORMAT,
-    WalScan,
-    WalWriter,
-    iter_wal,
-    scan_wal,
-    wal_magic,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_FSYNC_EVERY",
@@ -68,3 +47,31 @@ __all__ = [
     "scan_wal",
     "wal_magic",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.store.codec": (
+            "MAX_KEY_BYTES",
+            "PACKED_FORMAT",
+            "decode_batch",
+            "decode_element",
+            "encode_batch",
+            "encode_element",
+        ),
+        "repro.store.durable": (
+            "DEFAULT_FSYNC_EVERY",
+            "DurableStore",
+            "RecoveredState",
+        ),
+        "repro.store.snapshots": ("SnapshotStore",),
+        "repro.store.wal": (
+            "DEFAULT_WAL_FORMAT",
+            "WalScan",
+            "WalWriter",
+            "iter_wal",
+            "scan_wal",
+            "wal_magic",
+        ),
+    },
+)

@@ -58,7 +58,7 @@ from typing import (
 from repro.errors import StoreError
 from repro.faults import fault_point
 from repro.store.snapshots import SnapshotStore, _fsync_directory
-from repro.store.wal import WalWriter, iter_wal, scan_wal
+from repro.store.wal import WalWriter, iter_wal, read_wal, scan_wal
 from repro.types import StreamElement
 
 __all__ = ["DEFAULT_FSYNC_EVERY", "DurableStore", "RecoveredState"]
@@ -275,8 +275,13 @@ class DurableStore:
         payload = latest[1] if latest else None
         segments = self.segments()
         scans = []
+        tail: List[StreamElement] = []
         for index, (base, path) in enumerate(segments):
-            scan = scan_wal(path)
+            # One pass per segment; records the snapshot already covers
+            # are checksummed but never decoded.
+            scan, elements = read_wal(
+                path, start=max(0, snapshot_offset - base)
+            )
             if not scan.clean:
                 if index != len(segments) - 1:
                     raise StoreError(
@@ -287,7 +292,7 @@ class DurableStore:
                 with open(path, "r+b") as handle:
                     handle.truncate(scan.valid_bytes)
             scans.append((base, path, scan.records))
-        tail: List[StreamElement] = []
+            tail.extend(elements)
         end = snapshot_offset
         if scans:
             if scans[0][0] > snapshot_offset:
@@ -303,9 +308,6 @@ class DurableStore:
                         f"WAL gap: segment {path.name} starts at "
                         f"{base}, expected {expected}"
                     )
-                for index, element in enumerate(iter_wal(path)):
-                    if base + index >= snapshot_offset:
-                        tail.append(element)
                 expected = base + records
             end = max(expected, snapshot_offset)
             self._attach_writer(end, wal_end=expected)

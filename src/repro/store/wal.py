@@ -51,7 +51,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import CodecError, StoreError
 from repro.store import codec
@@ -64,6 +64,7 @@ __all__ = [
     "WalScan",
     "WalWriter",
     "iter_wal",
+    "read_wal",
     "scan_wal",
     "wal_magic",
 ]
@@ -162,18 +163,33 @@ def _check_header(head: bytes, path: PathLike) -> Optional[int]:
 
 def scan_wal(path: PathLike) -> WalScan:
     """Walk a WAL's frames; report the intact prefix and tail state."""
+    return read_wal(path, start=None)[0]
+
+
+def read_wal(
+    path: PathLike, start: Optional[int] = 0
+) -> Tuple[WalScan, List[StreamElement]]:
+    """Walk a WAL once: its :class:`WalScan` plus the decoded records.
+
+    Every intact frame is checksummed, but only records at index
+    ``start`` or later are decoded (``None`` decodes none), so a reader
+    that only needs the tail past a snapshot pays for nothing before
+    it.  Raises :class:`~repro.errors.StoreError` like :func:`iter_wal`
+    for a decoded record that is not a valid element.
+    """
     records = 0
+    elements: List[StreamElement] = []
     with open(path, "rb") as handle:
         format = _check_header(handle.read(8), path)
         if format is None:
-            return WalScan(0, 0, False, 0)
+            return WalScan(0, 0, False, 0), elements
         valid = 8
         while True:
             header = handle.read(_FRAME.size)
             if not header:
-                return WalScan(records, valid, True, format)
+                return WalScan(records, valid, True, format), elements
             if len(header) < _FRAME.size:
-                return WalScan(records, valid, False, format)
+                return WalScan(records, valid, False, format), elements
             length, crc = _FRAME.unpack(header)
             if length == 0 or length > _MAX_PAYLOAD:
                 # No element encodes to an empty payload in either
@@ -181,10 +197,12 @@ def scan_wal(path: PathLike) -> WalScan:
                 # typically a zero-filled tail a filesystem left
                 # after a crash (crc32(b"") == 0 makes it
                 # checksum-"valid").
-                return WalScan(records, valid, False, format)
+                return WalScan(records, valid, False, format), elements
             payload = handle.read(length)
             if len(payload) < length or zlib.crc32(payload) != crc:
-                return WalScan(records, valid, False, format)
+                return WalScan(records, valid, False, format), elements
+            if start is not None and records >= start:
+                elements.append(_decode(payload, format, path))
             records += 1
             valid += _FRAME.size + length
 

@@ -6,35 +6,7 @@ stream file I/O, replay/validation utilities, and mini-batching for
 PARABACUS.
 """
 
-from repro.streams.stream import EdgeStream
-from repro.streams.dynamic import (
-    make_fully_dynamic,
-    validate_stream,
-    stream_from_edges,
-)
-from repro.streams.io import (
-    load_konect,
-    read_stream,
-    write_stream,
-)
-from repro.streams.minibatch import iter_minibatches
-from repro.streams.window import sliding_window_stream, windowed_counts
-from repro.streams.profile import StreamProfile, StreamProfiler
-from repro.streams.transform import (
-    SanitizeReport,
-    deletion_tail,
-    inverse,
-    merged,
-    relabeled,
-    sanitized,
-    suspicious_elements,
-)
-from repro.streams.adversarial import (
-    butterfly_bomb,
-    churn_stream,
-    deletion_storm,
-    hub_stream,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EdgeStream",
@@ -61,3 +33,34 @@ __all__ = [
     "deletion_storm",
     "hub_stream",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.streams.stream": ("EdgeStream",),
+        "repro.streams.dynamic": (
+            "make_fully_dynamic",
+            "validate_stream",
+            "stream_from_edges",
+        ),
+        "repro.streams.io": ("load_konect", "read_stream", "write_stream"),
+        "repro.streams.minibatch": ("iter_minibatches",),
+        "repro.streams.window": ("sliding_window_stream", "windowed_counts"),
+        "repro.streams.profile": ("StreamProfile", "StreamProfiler"),
+        "repro.streams.transform": (
+            "SanitizeReport",
+            "deletion_tail",
+            "inverse",
+            "merged",
+            "relabeled",
+            "sanitized",
+            "suspicious_elements",
+        ),
+        "repro.streams.adversarial": (
+            "butterfly_bomb",
+            "churn_stream",
+            "deletion_storm",
+            "hub_stream",
+        ),
+    },
+)

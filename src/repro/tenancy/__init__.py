@@ -23,21 +23,7 @@ CLI drives it via ``repro tenant create|drop|list`` and ``repro serve
 --tenant-root``.  The full contract lives in ``docs/multitenancy.md``.
 """
 
-from repro.tenancy.catalog import (
-    CATALOG_FILE,
-    CATALOG_FORMAT,
-    DEFAULT_TENANT_QUOTA,
-    TenantCatalog,
-)
-from repro.tenancy.fanout import FANOUT_FORMAT, SharedStreamFanout
-from repro.tenancy.taps import (
-    CardinalityTap,
-    DeletionRateTap,
-    HeavyHitterTap,
-    StreamTap,
-    TriangleTap,
-    default_taps,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CATALOG_FILE",
@@ -53,3 +39,24 @@ __all__ = [
     "TriangleTap",
     "default_taps",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.tenancy.catalog": (
+            "CATALOG_FILE",
+            "CATALOG_FORMAT",
+            "DEFAULT_TENANT_QUOTA",
+            "TenantCatalog",
+        ),
+        "repro.tenancy.fanout": ("FANOUT_FORMAT", "SharedStreamFanout"),
+        "repro.tenancy.taps": (
+            "CardinalityTap",
+            "DeletionRateTap",
+            "HeavyHitterTap",
+            "StreamTap",
+            "TriangleTap",
+            "default_taps",
+        ),
+    },
+)

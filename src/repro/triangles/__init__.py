@@ -13,14 +13,7 @@ cross-validates the shared sampling code on a second motif whose
 discovery needs *two* sampled edges instead of three.
 """
 
-from repro.triangles.exact import (
-    count_triangles,
-    count_triangles_brute_force,
-    triangles_containing_edge,
-)
-from repro.triangles.graph import UndirectedGraph
-from repro.triangles.thinkd import ExactTriangleCounter, ThinkD
-from repro.triangles.triest import TriestFD
+from repro._lazy import lazy_exports
 
 __all__ = [
     "UndirectedGraph",
@@ -31,3 +24,17 @@ __all__ = [
     "TriestFD",
     "ExactTriangleCounter",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.triangles.exact": (
+            "count_triangles",
+            "count_triangles_brute_force",
+            "triangles_containing_edge",
+        ),
+        "repro.triangles.graph": ("UndirectedGraph",),
+        "repro.triangles.thinkd": ("ExactTriangleCounter", "ThinkD"),
+        "repro.triangles.triest": ("TriestFD",),
+    },
+)

@@ -20,9 +20,7 @@ Session-level access: ``open_session(spec, window=N)`` /
 --window-time T``.
 """
 
-from repro.window.engine import WindowedEstimator
-from repro.window.expiry import ExpiryRing
-from repro.window.reference import expand_window_stream, validate_window_params
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ExpiryRing",
@@ -30,3 +28,15 @@ __all__ = [
     "expand_window_stream",
     "validate_window_params",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.window.engine": ("WindowedEstimator",),
+        "repro.window.expiry": ("ExpiryRing",),
+        "repro.window.reference": (
+            "expand_window_stream",
+            "validate_window_params",
+        ),
+    },
+)

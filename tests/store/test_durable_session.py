@@ -1,5 +1,6 @@
 """The durable-session facade: open_session(durable_dir=...) semantics."""
 
+import os
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from repro.api import build_estimator, open_session
 from repro.errors import EstimatorError, SpecError, StoreError
 from repro.graph.generators import bipartite_erdos_renyi
 from repro.store import DurableStore
+from repro.store import wal as wal_module
 from repro.store.wal import scan_wal
 from repro.streams import make_fully_dynamic
 from repro.types import insertion
@@ -154,6 +156,35 @@ class TestCheckpoint:
         assert recovered.snapshot is not None
         assert recovered.snapshot["session"]["elements"] == len(stream)
         assert recovered.tail == []
+
+    def test_recovery_decodes_only_the_tail(self, tmp_path, monkeypatch):
+        stream = [insertion(i, 1000 + (i * 7) % 97) for i in range(900)]
+        session = open_session(SPEC, durable_dir=tmp_path)
+        for mark in (300, 600):
+            session.ingest(stream[mark - 300 : mark])
+            session.checkpoint()
+        session.ingest(stream[600:])
+        session.close()
+        store = DurableStore(tmp_path)
+        assert [base for base, _ in store.segments()] == [300, 600]
+        # wal-300 is fully covered by the snapshot at 600: its records
+        # are checksummed but must not be decoded.
+        decoded = []
+        decode = wal_module._decode
+
+        def counting_decode(payload, format, path):
+            decoded.append(path)
+            return decode(payload, format, path)
+
+        monkeypatch.setattr(wal_module, "_decode", counting_decode)
+        recovered = store.recover()
+        store.close()
+        assert len(decoded) == 300
+        assert {os.path.basename(path) for path in decoded} == {
+            f"wal-{600:020d}.log"
+        }
+        assert recovered.tail == stream[600:]
+        assert recovered.offset == 900
 
     def test_corrupt_newest_snapshot_falls_back(self, tmp_path):
         stream = _stream()

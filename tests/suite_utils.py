@@ -5,8 +5,15 @@ directory on ``sys.path`` because it holds the root ``conftest.py``.
 """
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 import time
+
+import repro
 
 
 def wait_until(predicate, timeout=10.0, interval=0.01):
@@ -37,3 +44,25 @@ def load_recovery_harness():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_fresh(code: str) -> object:
+    """Run ``code`` in a new interpreter; return the JSON it prints last.
+
+    The child imports the same ``repro`` as this process, whether that
+    comes from ``src`` or an installed package.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])

@@ -1,5 +1,11 @@
 """The documented public API surface stays importable and coherent."""
 
+import importlib
+import pkgutil
+
+import pytest
+from suite_utils import run_fresh
+
 import repro
 
 
@@ -61,3 +67,63 @@ class TestTopLevelExports:
             repro.ExactStreamingCounter.name,
         }
         assert len(names) == 5
+
+
+def _packages():
+    """``repro`` and every subpackage, imported."""
+    names = ["repro"] + [
+        f"repro.{info.name}"
+        for info in pkgutil.iter_modules(repro.__path__)
+        if info.ispkg
+    ]
+    return [importlib.import_module(name) for name in names]
+
+
+class TestLazySurface:
+    """The package surfaces resolve on demand (PEP 562)."""
+
+    def test_every_subpackage_is_covered(self):
+        names = {module.__name__ for module in _packages()}
+        assert {"repro.api", "repro.core", "repro.serve"} <= names
+
+    def test_dir_lists_every_export(self):
+        for module in _packages():
+            listed = set(dir(module))
+            missing = set(module.__all__) - listed
+            assert not missing, (module.__name__, sorted(missing))
+
+    def test_star_import_binds_every_export(self):
+        for module in _packages():
+            namespace: dict = {}
+            exec(f"from {module.__name__} import *", namespace)
+            missing = set(module.__all__) - set(namespace)
+            assert not missing, (module.__name__, sorted(missing))
+            for name in module.__all__:
+                assert namespace[name] is getattr(module, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        for module in _packages():
+            with pytest.raises(AttributeError, match="no_such_name"):
+                module.no_such_name
+
+    def test_bare_api_import_registers_every_estimator(self):
+        names, heavy = run_fresh(
+            "import json, sys\n"
+            "import repro.api\n"
+            "print(json.dumps([list(repro.api.registered_estimators()), "
+            "sorted(m for m in ('multiprocessing', 'repro.shard.backends')"
+            " if m in sys.modules)]))\n"
+        )
+        assert names == [
+            "abacus",
+            "abacus_support",
+            "cas",
+            "ensemble",
+            "exact",
+            "fleet",
+            "parabacus",
+            "sgrapp",
+            "sharded",
+            "windowed",
+        ]
+        assert heavy == []
